@@ -278,10 +278,9 @@ pub fn run_app(mut built: BuiltApp, max_cycles: u64) -> Result<RunOutcome, SimEr
         let ev = cursor.run_until(Stop::replay_complete().with_budget(max_cycles))?;
         if ev.reason != StopReason::ReplayComplete {
             let progress = built.shim.replay_progress();
-            let stalled = built.shim.replay_stalled().join(", ");
             return Err(SimError::Timeout {
                 cycle: ev.advanced,
-                waiting_for: format!("replay completion ({progress} packets; stalled: {stalled})"),
+                waiting_for: format!("replay completion ({progress} packets)"),
                 diagnostics: built.sim.diagnostics(),
             });
         }

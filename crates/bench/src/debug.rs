@@ -310,12 +310,11 @@ impl Debugger {
         Ok(match ev.reason {
             StopReason::ReplayComplete => format!("replay complete @cycle {}\n", ev.cycle),
             _ => {
-                let stalled = self.session.shim().replay_stalled().join(", ");
-                format!(
-                    "replay NOT complete by @cycle {} (stalled: {})\n",
-                    ev.cycle,
-                    if stalled.is_empty() { "-" } else { &stalled }
-                )
+                let mut out = format!("replay NOT complete by @cycle {}\n", ev.cycle);
+                for line in self.session.sim().diagnostics() {
+                    let _ = writeln!(out, "  {line}");
+                }
+                out
             }
         })
     }
@@ -508,8 +507,8 @@ impl Debugger {
             }
             VerifyVerdict::Deadlock { cycle, stalled } => {
                 let _ = writeln!(out, "verdict: deadlock@{cycle}");
-                if !stalled.is_empty() {
-                    let _ = writeln!(out, "  stalled channels: {}", stalled.join(", "));
+                for line in stalled {
+                    let _ = writeln!(out, "  {line}");
                 }
                 match self.first_uncommitted_end() {
                     Some((name, index, pi)) => {

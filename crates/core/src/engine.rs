@@ -34,9 +34,6 @@ pub struct ReplayStatus {
     pub total: usize,
     /// All packets dispatched and all replayers drained.
     pub complete: bool,
-    /// Channels still holding undrained stream elements (diagnostics;
-    /// populated once dispatch has finished but draining stalls).
-    pub stalled: Vec<String>,
 }
 
 /// Shared handle to a replay's status.
@@ -157,7 +154,7 @@ impl VidiEngine {
         let mut channels = Vec::with_capacity(n);
         for (i, (ch, dir)) in env_channels.into_iter().enumerate() {
             // One shared handle per channel: the replayer and the engine's
-            // diagnostic list point at the same allocation.
+            // fire detection and stall report point at the same allocation.
             let ch = Rc::new(ch);
             let mut r = ReplayerCore::new(Rc::clone(&ch), dir, i, n);
             if orderless {
@@ -287,27 +284,7 @@ impl Component for VidiEngine {
             if let Some(status) = &self.replay_status {
                 let mut s = status.borrow_mut();
                 s.dispatched = decoder.dispatched();
-                s.complete = decoder.done()
-                    && self
-                        .replayers
-                        .iter()
-                        .all(super::replayer::ReplayerCore::drained);
-                if decoder.done() && !s.complete {
-                    s.stalled = self
-                        .replayers
-                        .iter()
-                        .zip(&self.replay_channels)
-                        .filter(|(r, _)| !r.drained())
-                        .map(|(r, ch)| {
-                            format!(
-                                "{} ({} queued: {})",
-                                ch.name(),
-                                r.queue_len(),
-                                r.debug_head(&self.t_current)
-                            )
-                        })
-                        .collect();
-                }
+                s.complete = decoder.done() && self.replayers.iter().all(ReplayerCore::drained);
             }
         }
     }
@@ -392,7 +369,6 @@ impl Component for VidiEngine {
                 w.usize(s.dispatched);
                 w.usize(s.total);
                 w.bool(s.complete);
-                w.seq(s.stalled.iter(), |w, name| w.str(name));
             }
             None => w.bool(false),
         }
@@ -459,7 +435,6 @@ impl Component for VidiEngine {
             s.dispatched = r.usize()?;
             s.total = r.usize()?;
             s.complete = r.bool()?;
-            s.stalled = r.seq(|r| r.str().map(String::from))?;
         }
         let mut stats = self.stats.borrow_mut();
         stats.backpressure_cycles = r.u64()?;
@@ -469,8 +444,10 @@ impl Component for VidiEngine {
         Ok(())
     }
 
-    /// The deadlock diagnoser: reports blocked channels and stalled
-    /// vector-clock entries when a watchdog asks why the design is stuck.
+    /// The deadlock diagnoser and replay stall report, rendered only when a
+    /// watchdog, verifier or debugger asks why the design is stuck: names
+    /// every undrained replay channel with its handshake, queue length and
+    /// vector-clock head.
     fn diagnostics(&self, p: &SignalPool) -> Vec<String> {
         let mut out = Vec::new();
         if let Some(encoder) = &self.encoder {
@@ -497,10 +474,11 @@ impl Component for VidiEngine {
                 let valid = p.get_bool(ch.valid);
                 let ready = p.get_bool(ch.ready);
                 out.push(format!(
-                    "channel {} blocked (valid={} ready={}): {}",
+                    "channel {} blocked (valid={} ready={}, {} queued): {}",
                     ch.name(),
                     valid,
                     ready,
+                    r.queue_len(),
                     r.debug_head(&self.t_current),
                 ));
             }

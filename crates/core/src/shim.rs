@@ -370,14 +370,6 @@ impl VidiShim {
         self.replay.as_ref().is_some_and(|r| r.borrow().complete)
     }
 
-    /// Channels whose replayers are stalled (diagnostics).
-    pub fn replay_stalled(&self) -> Vec<String> {
-        self.replay
-            .as_ref()
-            .map(|r| r.borrow().stalled.clone())
-            .unwrap_or_default()
-    }
-
     /// Progress of the in-progress replay, in cycle packets. All-zero in
     /// non-replay modes.
     pub fn replay_progress(&self) -> ReplayProgress {

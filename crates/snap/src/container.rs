@@ -35,8 +35,9 @@ use crate::SnapError;
 pub const SNAP_MAGIC: u32 = 0x504e_5356;
 /// Magic number opening a checkpoint index payload (`"VSNI"`).
 pub const INDEX_MAGIC: u32 = 0x494e_5356;
-/// Container format version this build reads and writes.
-pub const SNAP_VERSION: u16 = 1;
+/// Container format version this build reads and writes. Version 2 drops
+/// the replay stall strings version 1 carried in engine checkpoint state.
+pub const SNAP_VERSION: u16 = 2;
 
 /// One deterministic checkpoint: the full simulator snapshot at a cycle
 /// boundary, plus the metadata segmented verification needs.
@@ -428,6 +429,40 @@ mod tests {
         assert_eq!(entry.cycle, 2000);
         let cp = load_checkpoint_at(&image, &entry).unwrap();
         assert_eq!(&cp, &log.checkpoints[2]);
+    }
+
+    /// A framed image holding only `fields` as its header packet.
+    fn header_image(fields: impl FnOnce(&mut StateWriter)) -> Vec<u8> {
+        let mut header = StateWriter::new();
+        fields(&mut header);
+        let mut fw = FrameWriter::new();
+        fw.push_bytes(header.as_bytes());
+        fw.mark_packet();
+        fw.finish_bytes()
+    }
+
+    #[test]
+    fn version_1_images_are_rejected_as_format_errors() {
+        let container = header_image(|w| {
+            w.u32(SNAP_MAGIC);
+            w.u16(1);
+            w.u64(4321);
+            w.bool(true);
+            w.u32(0);
+        });
+        match CheckpointLog::decode_framed(&container) {
+            Err(SnapError::Format(detail)) => assert!(detail.contains("version 1"), "{detail}"),
+            other => panic!("stale container must be a format error, got {other:?}"),
+        }
+        let index = header_image(|w| {
+            w.u32(INDEX_MAGIC);
+            w.u16(1);
+            w.u32(0);
+        });
+        match CheckpointIndex::decode_framed(&index) {
+            Err(SnapError::Format(detail)) => assert!(detail.contains("version 1"), "{detail}"),
+            other => panic!("stale index must be a format error, got {other:?}"),
+        }
     }
 
     #[test]

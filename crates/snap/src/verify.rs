@@ -67,7 +67,10 @@ pub enum VerifyVerdict {
     Deadlock {
         /// Cycle at which the final segment gave up waiting.
         cycle: u64,
-        /// Channels with undispatched replay transactions at that point.
+        /// The stall report at that point, rendered on query from engine
+        /// state by [`vidi_hwsim::Simulator::diagnostics`]: the decoder's
+        /// progress and every undrained replay channel with its handshake,
+        /// queue length and vector-clock head.
         stalled: Vec<String>,
     },
     /// A segment's end state digest did not match the next checkpoint —
@@ -215,7 +218,7 @@ where
                 let ev = SessionCursor::new(&mut s)
                     .run_until(Stop::replay_complete().or_at_cycle(budget_end))?;
                 if ev.reason == StopReason::CycleReached {
-                    deadlock = Some((ev.cycle, s.shim().replay_stalled()));
+                    deadlock = Some((ev.cycle, s.sim().diagnostics()));
                 }
                 s.sim().run(self.options.flush_margin)?;
             }

@@ -170,7 +170,9 @@ fn polling_divergence_first_cycle_is_identical_serial_and_parallel() {
 /// §5.3: replaying a mutated trace (first pcim W end moved before the
 /// first AW end) deadlocks the buggy ATOP filter. Segmented verification
 /// must report the deadlock — identically on the serial and parallel
-/// paths — from a checkpoint log that itself never completed.
+/// paths — from a checkpoint log that itself never completed. Its stall
+/// report, rendered on query from engine state, must name both blocked
+/// write channels with their queue lengths and vector-clock heads.
 #[test]
 fn mutated_atop_trace_deadlock_detected_identically() {
     use vidi_apps::build_echo_atop;
@@ -217,7 +219,17 @@ fn mutated_atop_trace_deadlock_detected_identically() {
     match &serial.verdict {
         VerifyVerdict::Deadlock { cycle, stalled } => {
             assert!(*cycle > 0);
-            assert!(!stalled.is_empty(), "deadlock names the stalled channels");
+            for chan in ["env.pcim.aw", "env.pcim.w"] {
+                let line = stalled
+                    .iter()
+                    .find(|l| l.contains(&format!("channel {chan} blocked")))
+                    .unwrap_or_else(|| panic!("stall report names {chan}: {stalled:#?}"));
+                assert!(line.contains(" queued): "), "queue length: {line}");
+                assert!(
+                    line.contains("texp=") && line.contains("tcur="),
+                    "head: {line}"
+                );
+            }
         }
         other => panic!("expected a deadlock verdict, got {other:?}"),
     }

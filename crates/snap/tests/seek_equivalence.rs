@@ -9,6 +9,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use vidi_apps::{build_app, run_app, AppId, BuiltApp, Scale};
+use vidi_core::drive::{SessionCursor, Stop, StopReason};
 use vidi_core::VidiConfig;
 use vidi_hwsim::EvalMode;
 use vidi_snap::{checkpointed_replay, replay_from, CheckpointLog, CheckpointPolicy};
@@ -109,6 +110,70 @@ fn modes_agree_with_each_other_after_seek() {
     let full = seek_digest(EvalMode::Full, target);
     assert_eq!(full, seek_digest(EvalMode::Incremental, target));
     assert_eq!(full, seek_digest(EvalMode::Compiled, target));
+}
+
+/// FaceD at `Scale::Test` keeps replaying after its decoder has dispatched
+/// the last packet: the replayers still drain queued elements for a while
+/// before `replay_complete`. Seeks landing in that drain window — where a
+/// stall report could be asked for — must be as bit-exact as anywhere
+/// else.
+#[test]
+fn seek_into_post_dispatch_drain_window_is_bit_exact() {
+    let setup = || AppId::FaceDetect.setup(Scale::Test, 7);
+    let out = run_app(build_app(setup(), VidiConfig::record()), BUDGET).expect("record run");
+    let cfg = VidiConfig::replay_record(out.trace.expect("recording produces a trace"));
+
+    // Locate the window on a probe replay.
+    let mut probe = build_app(setup(), cfg.clone());
+    let mut cursor = SessionCursor::new(&mut probe);
+    let dispatched = cursor
+        .run_until(
+            Stop::when(|b: &mut BuiltApp| {
+                let p = b.shim.replay_progress();
+                p.dispatched == p.total
+            })
+            .with_budget(BUDGET)
+            .check_every(1),
+        )
+        .expect("probe replay");
+    assert_eq!(dispatched.reason, StopReason::PredicateTrue);
+    let complete = cursor
+        .run_until(Stop::replay_complete().with_budget(BUDGET).check_every(1))
+        .expect("probe drain");
+    assert_eq!(complete.reason, StopReason::ReplayComplete);
+    let (start, end) = (dispatched.cycle, complete.cycle);
+    assert!(
+        end > start + 2,
+        "FaceD drains after dispatch: {start}..{end}"
+    );
+
+    let mut session = build_app(setup(), cfg.clone());
+    let log = checkpointed_replay(&mut session, CheckpointPolicy::every(EVERY), BUDGET)
+        .expect("checkpointed replay");
+    assert!(log.completed, "clean replay must complete");
+
+    for target in [start + 1, (start + end) / 2, end - 1] {
+        for mode in [EvalMode::Full, EvalMode::Incremental, EvalMode::Compiled] {
+            let mut straight = build_app(setup(), cfg.clone());
+            straight.sim.set_eval_mode(mode);
+            SessionCursor::new(&mut straight)
+                .step(target)
+                .expect("straight run");
+            assert!(
+                !straight.shim.replay_complete(),
+                "target {target} is inside the window"
+            );
+
+            let mut seeked = build_app(setup(), cfg.clone());
+            seeked.sim.set_eval_mode(mode);
+            replay_from(&mut seeked, &log, target).expect("seek");
+            assert_eq!(
+                seeked.sim.state_digest(),
+                straight.sim.state_digest(),
+                "seek to drain-window cycle {target} in {mode:?} must be bit-exact"
+            );
+        }
+    }
 }
 
 proptest! {

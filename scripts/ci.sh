@@ -72,16 +72,22 @@ grep -q "causal transaction: ocl.r end #1" "$convert_dir/dma.out" \
 
 # §5.3: record the buggy-ATOP ping-pong server, reorder the first pcim.w
 # completion ahead of its address phase (the mutated-trace experiment),
-# and let the debugger bisect the resulting deadlock from the traces
-# alone. It must name the reordered write-data beat as the causal
-# transaction.
+# and let the debugger run and bisect the resulting deadlock from the
+# traces alone. The run's stall report, rendered on query from engine
+# state, must name the blocked write-address channel with its queue
+# length, and bisect must name the reordered write-data beat as the
+# causal transaction.
 "${tt[@]}" sample "$convert_dir/atop.vidi" --case echo-atop --filter buggy \
     --pings 32 --seed 5
 "${tt[@]}" mutate "$convert_dir/atop.vidi" pcim.w 0 pcim.aw 0 "$convert_dir/atop-mut.vidi"
-printf 'bisect\n' > "$convert_dir/atop.dbg"
+printf 'run\nbisect\n' > "$convert_dir/atop.dbg"
 "${tt[@]}" debug "$convert_dir/atop-mut.vidi" --case echo-atop --filter buggy \
     --pings 32 --seed 5 --max-cycles 20000 --final-budget 5000 \
     --script "$convert_dir/atop.dbg" | tee "$convert_dir/atop.out"
+grep -q "replay NOT complete by @cycle 20000" "$convert_dir/atop.out" \
+    || { echo "FAIL: debugger run did not stop on the §5.3 stall"; exit 1; }
+grep -Eq "channel env\.pcim\.aw blocked .*[0-9]+ queued" "$convert_dir/atop.out" \
+    || { echo "FAIL: stall report did not name env.pcim.aw with its queue length"; exit 1; }
 grep -q "verdict: deadlock@" "$convert_dir/atop.out" \
     || { echo "FAIL: debugger bisect did not detect the §5.3 deadlock"; exit 1; }
 grep -q "causal transaction: pcim.w end #0" "$convert_dir/atop.out" \
