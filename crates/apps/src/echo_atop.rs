@@ -377,7 +377,11 @@ pub fn run_echo_atop(
 
     match result {
         Ok(cycles) => {
-            sim.run(vidi_core::drive::FLUSH_MARGIN)?;
+            SessionCursor::new(&mut RawSession {
+                sim: &mut sim,
+                shim: &shim,
+            })
+            .flush()?;
             let host_ok = if replaying {
                 true
             } else {

@@ -310,7 +310,11 @@ pub fn run_echo_fifo(config: EchoFifoConfig) -> Result<EchoFifoOutcome, SimError
             "echo CPU threads",
         )?
     };
-    sim.run(vidi_core::drive::FLUSH_MARGIN)?;
+    SessionCursor::new(&mut RawSession {
+        sim: &mut sim,
+        shim: &shim,
+    })
+    .flush()?;
 
     let total_bytes = expected.len();
     let readback = if replaying {

@@ -302,7 +302,7 @@ pub fn run_app(mut built: BuiltApp, max_cycles: u64) -> Result<RunOutcome, SimEr
         ev.cycle
     };
     // Flush margin for the trace store.
-    built.sim.run(vidi_core::drive::FLUSH_MARGIN)?;
+    SessionCursor::new(&mut built).flush()?;
 
     let stats = built.shim.stats();
     let output_ok = (built.check)(&built.host_mem, &built.fpga_dram, &built.cpu);

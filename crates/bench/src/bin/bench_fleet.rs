@@ -12,16 +12,14 @@
 //!     [--workers N]
 //! ```
 //!
-//! Exit status is non-zero if any clean tenant fails to complete, any
-//! clean tenant's trace diverges from its solo run, the peak reservation
-//! or aggregate buffering passes the budget, or `--baseline` is given and
-//! a deterministic field (outcome, cause, bit-identity, within-budget)
-//! drifted. Wall-clock rates are informational only.
+//! Exit status is non-zero if any gate of [`vidi_bench::gate::fleet`]
+//! fails; the baseline gates run when `--baseline` is given. Wall-clock
+//! rates are informational only.
 
 use std::process::ExitCode;
 
-use vidi_bench::fleet_bench::{compare_to_baseline, measure_fleet, to_json};
-use vidi_bench::json::Json;
+use vidi_bench::fleet_bench::{measure_fleet, to_json};
+use vidi_bench::gate;
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_fleet.json");
@@ -79,58 +77,6 @@ fn main() -> ExitCode {
         report.sum_peak_buffered,
     );
 
-    let mut ok = true;
-    let broken_clean: Vec<&str> = report
-        .rows
-        .iter()
-        .filter(|r| r.cause == "-" && r.outcome != "completed")
-        .map(|r| r.name.as_str())
-        .collect();
-    if !broken_clean.is_empty() {
-        eprintln!("FAIL: clean tenants did not complete: {broken_clean:?}");
-        ok = false;
-    }
-    let diverged: Vec<&str> = report
-        .rows
-        .iter()
-        .filter(|r| !r.bit_identical)
-        .map(|r| r.name.as_str())
-        .collect();
-    if !diverged.is_empty() {
-        eprintln!("FAIL: clean tenant traces diverged from solo runs: {diverged:?}");
-        ok = false;
-    }
-    if !report.reservation_within_budget {
-        eprintln!(
-            "FAIL: peak reservation {} B exceeded the budget {} B",
-            report.peak_reserved, report.budget
-        );
-        ok = false;
-    }
-    if !report.buffering_within_budget {
-        eprintln!(
-            "FAIL: aggregate peak buffering {} B exceeded the budget {} B",
-            report.sum_peak_buffered, report.budget
-        );
-        ok = false;
-    }
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).expect("read baseline");
-        let baseline = Json::parse(&text).expect("parse baseline");
-        match compare_to_baseline(&doc, &baseline) {
-            Ok(()) => println!("baseline {path}: no isolation regression"),
-            Err(failures) => {
-                for f in failures {
-                    eprintln!("FAIL: {f}");
-                }
-                ok = false;
-            }
-        }
-    }
     println!("wrote {out_path} ({workers} workers)");
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    gate::gate_and_exit(&gate::fleet(), &doc, baseline_path.as_deref())
 }

@@ -11,28 +11,17 @@
 //!     [--scale test|bench] [--seed N]
 //! ```
 //!
-//! Exit status is non-zero if any traces diverge between schedulers, if
-//! fewer than half the catalog reaches a 2x eval reduction, if fewer than
-//! half reaches a 2x compiled cycles/sec speedup over incremental (or no
-//! compiled run ever skipped a clock edge — the vacuous-gate guard), if any
-//! codec stream fails to round-trip or fewer than half the catalog reaches
-//! a 3x best-codec compression ratio, or if `--baseline` is given and a
-//! deterministic counter (evals/cycle, compression ratio) regressed more
-//! than 10 % on any app.
+//! Exit status is non-zero if any gate of [`vidi_bench::gate::sim`] fails;
+//! the baseline gates run when `--baseline` is given.
 
 use std::process::ExitCode;
 
 use vidi_apps::Scale;
-use vidi_bench::json::Json;
+use vidi_bench::gate;
 use vidi_bench::sim_bench::{
-    buffer_bound_failures, compare_to_baseline, compiled_speedup_failures, compression_failures,
     measure_catalog, rows_with_2x_compiled_speedup, rows_with_2x_reduction,
     rows_with_3x_compression, to_json,
 };
-use vidi_core::VidiConfig;
-
-/// Maximum tolerated growth in per-app evals/cycle versus the baseline.
-const TOLERANCE: f64 = 0.10;
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_sim.json");
@@ -94,76 +83,15 @@ fn main() -> ExitCode {
         );
     }
 
-    let mut ok = true;
-    let divergent: Vec<&str> = rows
-        .iter()
-        .filter(|r| !r.traces_identical)
-        .map(|r| r.app.as_str())
-        .collect();
-    if !divergent.is_empty() {
-        eprintln!("FAIL: traces diverge between schedulers: {divergent:?}");
-        ok = false;
-    }
-    let with_2x = rows_with_2x_reduction(&rows);
-    if with_2x * 2 < rows.len() {
-        eprintln!(
-            "FAIL: only {with_2x}/{} apps reach a 2x eval reduction",
-            rows.len()
-        );
-        ok = false;
-    }
-    // Compiled throughput gate: the levelized scheduler must earn its keep
-    // in wall-clock terms, and do so through real tick scheduling.
-    for f in compiled_speedup_failures(&rows) {
-        eprintln!("FAIL: {f}");
-        ok = false;
-    }
-    // Compression gate: every codec round-trips, and the best codec earns
-    // a 3x bandwidth reduction on at least half the catalog.
-    for f in compression_failures(&rows) {
-        eprintln!("FAIL: {f}");
-        ok = false;
-    }
-    // Bounded-memory gate: recording buffers must stay O(chunk size) no
-    // matter how long the run — the streaming trace path's core promise.
-    let bound = VidiConfig::record().streaming_buffer_bound();
-    for f in buffer_bound_failures(&rows, bound) {
-        eprintln!("FAIL: {f}");
-        ok = false;
-    }
-    if ok {
-        let peak = rows
-            .iter()
-            .map(|r| r.peak_buffered_bytes)
-            .max()
-            .unwrap_or(0);
-        println!("streaming peak buffer {peak} bytes <= bound {bound} (all apps)");
-    }
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).expect("read baseline");
-        let baseline = Json::parse(&text).expect("parse baseline");
-        match compare_to_baseline(&doc, &baseline, TOLERANCE) {
-            Ok(()) => println!("baseline {path}: no evals/cycle regression"),
-            Err(failures) => {
-                for f in failures {
-                    eprintln!("FAIL: {f}");
-                }
-                ok = false;
-            }
-        }
-    }
     println!(
-        "wrote {out_path} ({with_2x}/{} apps at >=2x eval reduction, {}/{} at >=2x compiled \
+        "wrote {out_path} ({}/{} apps at >=2x eval reduction, {}/{} at >=2x compiled \
          speedup, {}/{} at >=3x compression)",
+        rows_with_2x_reduction(&rows),
         rows.len(),
         rows_with_2x_compiled_speedup(&rows),
         rows.len(),
         rows_with_3x_compression(&rows),
         rows.len()
     );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    gate::gate_and_exit(&gate::sim(), &doc, baseline_path.as_deref())
 }

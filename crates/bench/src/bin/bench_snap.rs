@@ -11,22 +11,14 @@
 //!     [--scale test|bench] [--seed N] [--threads N]
 //! ```
 //!
-//! Exit status is non-zero if any checkpoint fails to round-trip exactly,
-//! if any app's serial and parallel verification reports differ, if fewer
-//! than half the catalog reaches a 2x parallel-verify speedup (the
-//! deterministic schedule model — wall times are informational), or if
-//! `--baseline` is given and an exactness boolean or a verification
-//! verdict drifted on any app. Non-clean verdicts are expected for
-//! cycle-dependent apps (the catalog DMA polls, §3.6) — the gate is that
-//! serial and parallel agree and the verdict stays pinned.
+//! Exit status is non-zero if any gate of [`vidi_bench::gate::snap`]
+//! fails; the baseline gates run when `--baseline` is given.
 
 use std::process::ExitCode;
 
 use vidi_apps::Scale;
-use vidi_bench::json::Json;
-use vidi_bench::snap_bench::{
-    compare_to_baseline, measure_catalog, rows_with_2x_verify_speedup, to_json,
-};
+use vidi_bench::gate;
+use vidi_bench::snap_bench::{measure_catalog, rows_with_2x_verify_speedup, to_json};
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_snap.json");
@@ -86,53 +78,10 @@ fn main() -> ExitCode {
         );
     }
 
-    let mut ok = true;
-    let inexact: Vec<&str> = rows
-        .iter()
-        .filter(|r| !r.roundtrip_exact)
-        .map(|r| r.app.as_str())
-        .collect();
-    if !inexact.is_empty() {
-        eprintln!("FAIL: checkpoints do not round-trip exactly: {inexact:?}");
-        ok = false;
-    }
-    let inconsistent: Vec<&str> = rows
-        .iter()
-        .filter(|r| !r.verify_consistent)
-        .map(|r| r.app.as_str())
-        .collect();
-    if !inconsistent.is_empty() {
-        eprintln!("FAIL: serial and parallel verification reports differ: {inconsistent:?}");
-        ok = false;
-    }
-    let with_2x = rows_with_2x_verify_speedup(&rows);
-    if with_2x * 2 < rows.len() {
-        eprintln!(
-            "FAIL: only {with_2x}/{} apps reach a 2x parallel-verify speedup",
-            rows.len()
-        );
-        ok = false;
-    }
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path).expect("read baseline");
-        let baseline = Json::parse(&text).expect("parse baseline");
-        match compare_to_baseline(&doc, &baseline) {
-            Ok(()) => println!("baseline {path}: no exactness regression"),
-            Err(failures) => {
-                for f in failures {
-                    eprintln!("FAIL: {f}");
-                }
-                ok = false;
-            }
-        }
-    }
     println!(
-        "wrote {out_path} ({with_2x}/{} apps at >=2x verify speedup, {threads} threads)",
+        "wrote {out_path} ({}/{} apps at >=2x verify speedup, {threads} threads)",
+        rows_with_2x_verify_speedup(&rows),
         rows.len()
     );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    gate::gate_and_exit(&gate::snap(), &doc, baseline_path.as_deref())
 }

@@ -38,7 +38,7 @@ use std::process::ExitCode;
 use vidi_apps::{build_app, run_echo_atop, AppId, Scale};
 use vidi_bench::debug::{run_script, DebugOptions, DebugTarget, Debugger};
 use vidi_chan::AtopFilterMode;
-use vidi_core::VidiConfig;
+use vidi_core::{SessionCursor, VidiConfig};
 use vidi_host::{file_chunk_source, load_trace, save_trace, FileChunkSink};
 use vidi_trace::{
     compare, reorder_end_before, CodecId, Divergence, EndEventRef, Trace, TraceSink, TraceSource,
@@ -528,9 +528,8 @@ fn sample(args: &[String]) -> CliResult {
             "all CPU threads to finish",
         )
         .map_err(|e| CliError::Data(e.to_string()))?;
-    built
-        .sim
-        .run(vidi_core::drive::FLUSH_MARGIN)
+    SessionCursor::new(&mut built)
+        .flush()
         .map_err(|e| CliError::Data(e.to_string()))?;
     let image = built
         .shim

@@ -15,12 +15,12 @@
 //!
 //! CI regressions are judged **only** on deterministic quantities: the
 //! per-tenant outcome labels, the bit-identity boolean, and the
-//! within-budget booleans. Wall-clock rates are recorded as a trajectory.
+//! within-budget booleans, as listed in [`crate::gate::fleet`]. Wall-clock
+//! rates are recorded as a trajectory.
 
 use std::time::Instant;
 
-use vidi_apps::{build_app_with_faults, AppId, Scale};
-use vidi_core::FaultInjection;
+use vidi_apps::{AppId, Scale};
 use vidi_faults::{CorruptionSpec, FaultSpec, StorageFailureSpec, WindowSpec};
 use vidi_fleet::{Fleet, FleetConfig, SessionId, SessionSpec, SessionState};
 
@@ -161,32 +161,6 @@ fn cause_label(state: &SessionState) -> &'static str {
     }
 }
 
-/// Records the spec solo — same configuration, no fleet, no arbiter, no
-/// faults — and returns the finalized trace image (the bit-identity
-/// reference for clean tenants).
-fn solo_image(spec: &SessionSpec) -> Vec<u8> {
-    let image = vidi_fleet::SharedImage::new();
-    let mut built = build_app_with_faults(
-        spec.app.setup(spec.scale, spec.seed),
-        spec.vidi_config(),
-        FaultInjection::none(),
-    );
-    built
-        .shim
-        .stream_to(Box::new(image.clone()))
-        .expect("no chunk flushed yet");
-    let handles = built.cpu.clone();
-    let mut cycles = 0u64;
-    while !handles.iter().all(|h| h.borrow().finished) {
-        built.sim.run(256).expect("solo run progresses");
-        cycles += 256;
-        assert!(cycles < spec.max_cycles, "solo baseline wedged");
-    }
-    built.sim.run(4096).expect("solo flush margin");
-    built.shim.finalize_recording().expect("solo finalize");
-    image.snapshot()
-}
-
 /// Runs the eight-tenant soak on `workers` worker threads and measures it.
 pub fn measure_fleet(workers: usize) -> FleetBenchReport {
     let mix = tenant_mix();
@@ -221,7 +195,7 @@ pub fn measure_fleet(workers: usize) -> FleetBenchReport {
             };
             let bit_identical = if spec.faults.is_none() {
                 let prefix = fleet.fetch_trace(id).expect("trace fetchable");
-                prefix.bytes == solo_image(spec)
+                prefix.bytes == vidi_fleet::solo_image(spec).expect("solo run completes")
             } else {
                 true
             };
@@ -301,63 +275,6 @@ pub fn to_json(report: &FleetBenchReport, workers: usize) -> Json {
     ])
 }
 
-/// Compares a current document to the committed baseline on deterministic
-/// fields only: per-tenant outcome and cause labels, bit-identity, and the
-/// within-budget booleans. Wall-clock rates are never gated.
-///
-/// # Errors
-///
-/// Returns every detected drift as a human-readable failure line.
-pub fn compare_to_baseline(current: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut failures = Vec::new();
-    let rows = |doc: &Json| -> Vec<(String, String, String, bool)> {
-        doc.get("tenants")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|r| {
-                Some((
-                    r.get("name")?.as_str()?.to_string(),
-                    r.get("outcome")?.as_str()?.to_string(),
-                    r.get("cause")?.as_str()?.to_string(),
-                    r.get("bit_identical")?.as_bool()?,
-                ))
-            })
-            .collect()
-    };
-    let cur = rows(current);
-    for (name, base_outcome, base_cause, base_ident) in rows(baseline) {
-        match cur.iter().find(|(n, _, _, _)| *n == name) {
-            None => failures.push(format!("{name}: present in baseline but not measured")),
-            Some((_, outcome, cause, ident)) => {
-                if *outcome != base_outcome {
-                    failures.push(format!(
-                        "{name}: outcome drifted {base_outcome:?} -> {outcome:?}"
-                    ));
-                }
-                if *cause != base_cause {
-                    failures.push(format!("{name}: cause drifted {base_cause:?} -> {cause:?}"));
-                }
-                if base_ident && !ident {
-                    failures.push(format!("{name}: trace no longer bit-identical to solo"));
-                }
-            }
-        }
-    }
-    for key in ["reservation_within_budget", "buffering_within_budget"] {
-        let base = baseline.get(key).and_then(Json::as_bool).unwrap_or(true);
-        let cur_v = current.get(key).and_then(Json::as_bool).unwrap_or(false);
-        if base && !cur_v {
-            failures.push(format!("{key} regressed to false"));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,11 +297,12 @@ mod tests {
 
     #[test]
     fn baseline_gates_deterministic_fields() {
+        let compare = |cur: &Json, base: &Json| crate::gate::fleet().check(cur, Some(base));
         let base = doc("completed", true, true);
-        assert!(compare_to_baseline(&doc("completed", true, true), &base).is_ok());
-        assert!(compare_to_baseline(&doc("failed", true, true), &base).is_err());
-        assert!(compare_to_baseline(&doc("completed", false, true), &base).is_err());
-        assert!(compare_to_baseline(&doc("completed", true, false), &base).is_err());
+        assert!(compare(&doc("completed", true, true), &base).is_empty());
+        assert!(!compare(&doc("failed", true, true), &base).is_empty());
+        assert!(!compare(&doc("completed", false, true), &base).is_empty());
+        assert!(!compare(&doc("completed", true, false), &base).is_empty());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 pub mod debug;
 pub mod fleet_bench;
+pub mod gate;
 pub mod json;
 pub mod sim_bench;
 pub mod snap_bench;

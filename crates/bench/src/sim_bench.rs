@@ -9,14 +9,14 @@
 //! regressions are judged **only** on the deterministic counters — wall
 //! time depends on the host and is recorded as a trajectory — with one
 //! deliberate exception: the compiled scheduler exists *for* wall-clock
-//! throughput, so `bench_sim` additionally gates its cycles/sec speedup
-//! over the incremental scheduler.
+//! throughput, so its cycles/sec speedup over the incremental scheduler is
+//! gated too. The gates are listed in [`crate::gate::sim`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use vidi_apps::{build_app, run_app, AppId, RunOutcome, Scale};
-use vidi_core::{ReplayInput, VidiConfig};
+use vidi_core::{ReplayInput, SessionCursor, VidiConfig};
 use vidi_hwsim::EvalMode;
 use vidi_trace::{CodecId, SharedChunks, Trace};
 
@@ -131,7 +131,9 @@ fn record_stream(app: AppId, scale: Scale, seed: u64, codec: CodecId) -> (Vec<u8
             "all CPU threads to finish",
         )
         .expect("codec recording completes");
-    built.sim.run(4096).expect("flush margin");
+    SessionCursor::new(&mut built)
+        .flush()
+        .expect("flush margin");
     (
         built
             .shim
@@ -252,93 +254,9 @@ pub fn rows_with_2x_compiled_speedup(rows: &[SimBenchRow]) -> usize {
     rows.iter().filter(|r| r.compiled_speedup >= 2.0).count()
 }
 
-/// The compiled-scheduler CI gate over a measured catalog: at least half
-/// the apps must reach a 2x cycles/sec speedup over incremental, and the
-/// speedup must come from real tick scheduling — at least one run must
-/// skip a clock edge, or the "compiled" numbers are vacuous (the backend
-/// silently fell back to per-edge broadcast).
-///
-/// Returns the list of violations, empty when the gate passes.
-pub fn compiled_speedup_failures(rows: &[SimBenchRow]) -> Vec<String> {
-    let mut failures = Vec::new();
-    let with_2x = rows_with_2x_compiled_speedup(rows);
-    if with_2x * 2 < rows.len() {
-        failures.push(format!(
-            "only {with_2x}/{} apps reach a 2x compiled cycles/sec speedup",
-            rows.len()
-        ));
-    }
-    if !rows.is_empty() && rows.iter().all(|r| r.tick_skips == 0) {
-        failures.push(
-            "no compiled run skipped a clock edge — the speedup gate never \
-             exercised compiled tick scheduling"
-                .to_string(),
-        );
-    }
-    failures
-}
-
 /// Number of rows whose best-codec compression ratio is at least 3x.
 pub fn rows_with_3x_compression(rows: &[SimBenchRow]) -> usize {
     rows.iter().filter(|r| r.compression_ratio >= 3.0).count()
-}
-
-/// The compression CI gate over a measured catalog: every codec's stream
-/// must round-trip (decode to the reference packets and replay), at least
-/// half the apps must reach a 3x best-codec ratio, and the numbers must
-/// come from real recordings — at least one app must have written stream
-/// bytes, or the ratio gate is vacuous.
-///
-/// Returns the list of violations, empty when the gate passes.
-pub fn compression_failures(rows: &[SimBenchRow]) -> Vec<String> {
-    let mut failures: Vec<String> = rows
-        .iter()
-        .filter(|r| !r.codec_roundtrip_ok)
-        .map(|r| format!("{}: a codec stream failed to round-trip", r.app))
-        .collect();
-    let with_3x = rows_with_3x_compression(rows);
-    if with_3x * 2 < rows.len() {
-        failures.push(format!(
-            "only {with_3x}/{} apps reach a 3x best-codec compression ratio",
-            rows.len()
-        ));
-    }
-    if !rows.is_empty() && rows.iter().all(|r| r.bytes_written == 0) {
-        failures.push(
-            "no catalog recording wrote stream bytes — the compression gate \
-             never exercised the codec path"
-                .to_string(),
-        );
-    }
-    failures
-}
-
-/// The bounded-memory CI gate over a measured catalog: every app's peak
-/// buffered bytes must stay under `bound` (O(chunk size) + one bandwidth
-/// burst, per [`vidi_core::VidiConfig::streaming_buffer_bound`]), and the
-/// catalog must actually exercise the chunked path — at least one recording
-/// must flush chunks, or the "bounded" witness is vacuous.
-///
-/// Returns the list of violations, empty when the gate passes.
-pub fn buffer_bound_failures(rows: &[SimBenchRow], bound: u64) -> Vec<String> {
-    let mut failures: Vec<String> = rows
-        .iter()
-        .filter(|r| r.peak_buffered_bytes > bound)
-        .map(|r| {
-            format!(
-                "{}: peak buffered {} bytes exceeds the streaming bound {bound}",
-                r.app, r.peak_buffered_bytes
-            )
-        })
-        .collect();
-    if !rows.is_empty() && rows.iter().all(|r| r.chunks_flushed == 0) {
-        failures.push(
-            "no catalog recording flushed a chunk — the bounded-memory gate \
-             never exercised the streaming path"
-                .to_string(),
-        );
-    }
-    failures
 }
 
 /// Serializes rows into the `BENCH_sim.json` document.
@@ -431,85 +349,27 @@ pub fn to_json(rows: &[SimBenchRow], scale: Scale) -> Json {
     ])
 }
 
-/// Compares a current `BENCH_sim.json` document against a committed
-/// baseline on the **deterministic** counters (`evals_per_cycle_incremental`
-/// and, when the baseline carries them, `evals_per_cycle_compiled` and
-/// `compression_ratio`, per app). Wall-clock fields are never gated here.
-///
-/// # Errors
-///
-/// Returns the list of regressions: apps missing from the current document,
-/// whose evals/cycle grew by more than `tolerance` (e.g. `0.10`), or whose
-/// best-codec compression ratio shrank by more than `tolerance`.
-pub fn compare_to_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<(), Vec<String>> {
-    /// `(metric, lower_is_better)` — a shrinking ratio is a regression just
-    /// like growing evals/cycle.
-    const GATED: [(&str, bool); 3] = [
-        ("evals_per_cycle_incremental", true),
-        ("evals_per_cycle_compiled", true),
-        ("compression_ratio", false),
-    ];
-    let mut failures = Vec::new();
-    let rows = |doc: &Json| -> Vec<(String, Vec<(String, f64)>)> {
-        doc.get("apps")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|r| {
-                let app = r.get("app")?.as_str()?.to_string();
-                let metrics = GATED
-                    .iter()
-                    .filter_map(|&(m, _)| Some((m.to_string(), r.get(m)?.as_f64()?)))
-                    .collect();
-                Some((app, metrics))
-            })
-            .collect()
-    };
-    let cur = rows(current);
-    for (app, base_metrics) in rows(baseline) {
-        let Some((_, cur_metrics)) = cur.iter().find(|(a, _)| *a == app) else {
-            failures.push(format!("{app}: present in baseline but not measured"));
-            continue;
-        };
-        for (metric, base_val) in base_metrics {
-            let Some((_, cur_val)) = cur_metrics.iter().find(|(m, _)| *m == metric) else {
-                failures.push(format!("{app}: baseline metric {metric} not measured"));
-                continue;
-            };
-            let lower_is_better = GATED
-                .iter()
-                .find(|(m, _)| *m == metric)
-                .is_some_and(|(_, l)| *l);
-            let regressed = if lower_is_better {
-                let limit = base_val * (1.0 + tolerance);
-                *cur_val > limit
-            } else {
-                let limit = base_val * (1.0 - tolerance);
-                *cur_val < limit
-            };
-            if regressed {
-                failures.push(format!(
-                    "{app}: {metric} regressed {base_val:.2} -> {cur_val:.2} \
-                     (tolerance {tolerance:.0}%)",
-                    tolerance = tolerance * 100.0
-                ));
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{self, Gate};
+
+    /// Runs the table's gates that `keep` selects over rows, without a
+    /// baseline.
+    fn failures(keep: fn(&Gate) -> bool, rows: &[SimBenchRow]) -> Vec<String> {
+        let mut table = gate::sim();
+        table.gates.retain(keep);
+        table.check(&to_json(rows, Scale::Test), None)
+    }
+
+    /// Runs the table's baseline ceilings and floors.
+    fn compare(current: &Json, baseline: &Json) -> Vec<String> {
+        let mut table = gate::sim();
+        table
+            .gates
+            .retain(|g| matches!(g, Gate::Ceiling(..) | Gate::Floor(..)));
+        table.check(current, Some(baseline))
+    }
 
     fn doc(apps: &[(&str, f64)]) -> Json {
         let rows = apps
@@ -564,22 +424,28 @@ mod tests {
             r.codec_roundtrip_ok = ok;
             r
         };
+        let gated = |g: &Gate| {
+            matches!(
+                g,
+                Gate::AllTrue("codec_roundtrip_ok")
+                    | Gate::HalfAtLeast("compression_ratio", _)
+                    | Gate::NotVacuous("bytes_written")
+            )
+        };
         // Half the catalog at 3x over real bytes: gate passes.
-        assert!(
-            compression_failures(&[mk("a", 3.5, 900, true), mk("b", 1.5, 800, true)]).is_empty()
-        );
+        assert!(failures(gated, &[mk("a", 3.5, 900, true), mk("b", 1.5, 800, true)]).is_empty());
         // Under half at 3x: flagged.
-        let fails = compression_failures(&[mk("a", 2.9, 900, true), mk("b", 1.5, 800, true)]);
+        let fails = failures(gated, &[mk("a", 2.9, 900, true), mk("b", 1.5, 800, true)]);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("0/2 apps reach a 3x"));
+        assert!(fails[0].contains("compression_ratio >= 3 on only 0/2 apps"));
         // A broken round-trip is always a failure, even at a great ratio.
-        let fails = compression_failures(&[mk("a", 5.0, 900, false), mk("b", 4.0, 800, true)]);
+        let fails = failures(gated, &[mk("a", 5.0, 900, false), mk("b", 4.0, 800, true)]);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("a: a codec stream failed to round-trip"));
+        assert!(fails[0].contains("a: codec_roundtrip_ok is false"));
         // Ratios over zero written bytes are vacuous.
-        let fails = compression_failures(&[mk("a", 5.0, 0, true), mk("b", 4.0, 0, true)]);
+        let fails = failures(gated, &[mk("a", 5.0, 0, true), mk("b", 4.0, 0, true)]);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("never exercised the codec path"));
+        assert!(fails[0].contains("bytes_written is zero"));
     }
 
     #[test]
@@ -596,27 +462,34 @@ mod tests {
         };
         let base = mk_doc(4.0);
         // Holding or improving the ratio: ok.
-        assert_eq!(compare_to_baseline(&mk_doc(4.0), &base, 0.10), Ok(()));
-        assert_eq!(compare_to_baseline(&mk_doc(5.0), &base, 0.10), Ok(()));
+        assert!(compare(&mk_doc(4.0), &base).is_empty());
+        assert!(compare(&mk_doc(5.0), &base).is_empty());
         // Shrinking beyond tolerance: flagged by name.
-        let err = compare_to_baseline(&mk_doc(3.0), &base, 0.10).unwrap_err();
+        let err = compare(&mk_doc(3.0), &base);
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("a: compression_ratio regressed"));
     }
 
     #[test]
     fn buffer_bound_gate_flags_overruns_and_vacuous_runs() {
+        let bound = VidiConfig::record().streaming_buffer_bound();
         let mk = |app: &str, peak: u64, chunks: u64| {
             let mut r = row(app);
             r.peak_buffered_bytes = peak;
             r.chunks_flushed = chunks;
             r
         };
-        assert!(buffer_bound_failures(&[mk("a", 100, 3)], 1000).is_empty());
-        let fails = buffer_bound_failures(&[mk("a", 2000, 0), mk("b", 100, 0)], 1000);
+        let gated = |g: &Gate| {
+            matches!(
+                g,
+                Gate::AtMost("peak_buffered_bytes", _) | Gate::NotVacuous("chunks_flushed")
+            )
+        };
+        assert!(failures(gated, &[mk("a", 100, 3)]).is_empty());
+        let fails = failures(gated, &[mk("a", bound + 1, 0), mk("b", 100, 0)]);
         assert_eq!(fails.len(), 2);
-        assert!(fails[0].contains("a: peak buffered"));
-        assert!(fails[1].contains("never exercised"));
+        assert!(fails[0].contains("a: peak_buffered_bytes"));
+        assert!(fails[1].contains("vacuous"));
     }
 
     #[test]
@@ -627,28 +500,31 @@ mod tests {
             r.tick_skips = skips;
             r
         };
+        let gated = |g: &Gate| {
+            matches!(
+                g,
+                Gate::HalfAtLeast("compiled_speedup", _) | Gate::NotVacuous("tick_skips")
+            )
+        };
         // Half the catalog at 2x with real skips: gate passes.
-        assert!(compiled_speedup_failures(&[mk("a", 2.5, 10), mk("b", 1.2, 3)]).is_empty());
+        assert!(failures(gated, &[mk("a", 2.5, 10), mk("b", 1.2, 3)]).is_empty());
         // Under half at 2x: flagged.
-        let fails = compiled_speedup_failures(&[mk("a", 1.9, 10), mk("b", 1.2, 5)]);
+        let fails = failures(gated, &[mk("a", 1.9, 10), mk("b", 1.2, 5)]);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("0/2 apps reach a 2x"));
+        assert!(fails[0].contains("compiled_speedup >= 2 on only 0/2 apps"));
         // Fast but with zero tick skips everywhere: the number is vacuous.
-        let fails = compiled_speedup_failures(&[mk("a", 2.5, 0), mk("b", 2.5, 0)]);
+        let fails = failures(gated, &[mk("a", 2.5, 0), mk("b", 2.5, 0)]);
         assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("never exercised compiled tick scheduling"));
+        assert!(fails[0].contains("tick_skips is zero"));
     }
 
     #[test]
     fn baseline_comparison_flags_regressions_only() {
         let base = doc(&[("a", 10.0), ("b", 5.0)]);
         // Within tolerance and improved: ok.
-        assert_eq!(
-            compare_to_baseline(&doc(&[("a", 10.9), ("b", 3.0)]), &base, 0.10),
-            Ok(())
-        );
+        assert!(compare(&doc(&[("a", 10.9), ("b", 3.0)]), &base).is_empty());
         // One regression, one missing app: both reported.
-        let err = compare_to_baseline(&doc(&[("a", 11.2)]), &base, 0.10).unwrap_err();
+        let err = compare(&doc(&[("a", 11.2)]), &base);
         assert_eq!(err.len(), 2);
         assert!(err[0].contains("a: evals_per_cycle_incremental regressed"));
         assert!(err[1].contains("b: present in baseline"));
@@ -674,17 +550,14 @@ mod tests {
         };
         let base = mk_doc(10.0, Some(4.0));
         // Compiled counter regressed beyond tolerance: flagged by name.
-        let err = compare_to_baseline(&mk_doc(10.0, Some(5.0)), &base, 0.10).unwrap_err();
+        let err = compare(&mk_doc(10.0, Some(5.0)), &base);
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("evals_per_cycle_compiled regressed"));
         // Baseline expects the compiled counter; its absence is a failure.
-        let err = compare_to_baseline(&mk_doc(10.0, None), &base, 0.10).unwrap_err();
-        assert!(err[0].contains("evals_per_cycle_compiled not measured"));
+        let err = compare(&mk_doc(10.0, None), &base);
+        assert!(err[0].contains("evals_per_cycle_compiled pinned by the baseline but not measured"));
         // An old baseline without the counter never demands it.
         let old_base = mk_doc(10.0, None);
-        assert_eq!(
-            compare_to_baseline(&mk_doc(10.0, None), &old_base, 0.10),
-            Ok(())
-        );
+        assert!(compare(&mk_doc(10.0, None), &old_base).is_empty());
     }
 }

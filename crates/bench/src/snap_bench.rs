@@ -19,7 +19,7 @@
 //! ratio of the verifier's segment schedule, which depends on the
 //! checkpoint cadence but not the host). Measured wall times depend on the
 //! machine (CI runners are often single-core) and are recorded purely as a
-//! trajectory.
+//! trajectory. The gates are listed in [`crate::gate::snap`].
 
 use std::time::Instant;
 
@@ -380,88 +380,30 @@ pub fn to_json(rows: &[SnapBenchRow], scale: Scale, threads: usize) -> Json {
     ])
 }
 
-/// Compares a current `BENCH_snap.json` document against a committed
-/// baseline on the **deterministic** fields only: every app present in the
-/// baseline must still be measured, its `roundtrip_exact` boolean must not
-/// regress, its verification verdict — clean or not — must be the *same
-/// verdict at the same cycle* the baseline pinned, and its worst-case
-/// reverse-step roll-forward must not drift from the cadence the baseline
-/// recorded. Wall-clock and speedup values are never gated per app — the
-/// speedup floor is enforced on the current run's summary by the binary
-/// itself.
-///
-/// The reverse-step gate also self-checks for vacuousness: if every
-/// current row reports a worst-case roll-forward of zero, the gate is
-/// gating nothing (a zero ceiling means checkpoints at every cycle, which
-/// no real cadence produces) and the comparison fails rather than
-/// silently passing forever.
-///
-/// # Errors
-///
-/// Returns the list of regressions: apps missing from the current
-/// document, exactness flips, verdict drift, reverse-step drift, or a
-/// vacuous reverse-step gate.
-pub fn compare_to_baseline(current: &Json, baseline: &Json) -> Result<(), Vec<String>> {
-    let mut failures = Vec::new();
-    let rows = |doc: &Json| -> Vec<(String, bool, String, Option<u64>)> {
-        doc.get("apps")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|r| {
-                Some((
-                    r.get("app")?.as_str()?.to_string(),
-                    r.get("roundtrip_exact")?.as_bool()?,
-                    r.get("verdict")?.as_str()?.to_string(),
-                    r.get("rstep_worst_roll_forward")
-                        .and_then(Json::as_f64)
-                        .map(|n| n as u64),
-                ))
-            })
-            .collect()
-    };
-    let cur = rows(current);
-    for (app, base_exact, base_verdict, base_rstep) in rows(baseline) {
-        match cur.iter().find(|(a, _, _, _)| *a == app) {
-            None => failures.push(format!("{app}: present in baseline but not measured")),
-            Some((_, cur_exact, cur_verdict, cur_rstep)) => {
-                if base_exact && !cur_exact {
-                    failures.push(format!("{app}: checkpoint round trip no longer exact"));
-                }
-                if *cur_verdict != base_verdict {
-                    failures.push(format!(
-                        "{app}: verdict drifted {base_verdict:?} -> {cur_verdict:?}"
-                    ));
-                }
-                // Old baselines predate the field; gate only when pinned.
-                if let (Some(base), Some(cur)) = (base_rstep, cur_rstep) {
-                    if *cur != base {
-                        failures.push(format!(
-                            "{app}: worst-case reverse-step roll-forward drifted {base} -> {cur}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // Vacuous-gate detection: a reverse-step gate where every measured
-    // ceiling is zero pins nothing.
-    let rstep_values: Vec<u64> = cur.iter().filter_map(|(_, _, _, r)| *r).collect();
-    if !rstep_values.is_empty() && rstep_values.iter().all(|&v| v == 0) {
-        failures.push(
-            "reverse-step gate is vacuous: every app reports a zero worst-case roll-forward".into(),
-        );
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{self, Gate};
+
+    /// Runs the table's gates that `keep` selects against a baseline.
+    fn compare(keep: fn(&Gate) -> bool, current: &Json, baseline: &Json) -> Vec<String> {
+        let mut table = gate::snap();
+        table.gates.retain(keep);
+        table.check(current, Some(baseline))
+    }
+
+    fn verdict_gates(g: &Gate) -> bool {
+        matches!(g, Gate::AllTrue("roundtrip_exact") | Gate::Same("verdict"))
+    }
+
+    fn rstep_gates(g: &Gate) -> bool {
+        verdict_gates(g)
+            || matches!(
+                g,
+                Gate::Same("rstep_worst_roll_forward")
+                    | Gate::NotVacuous("rstep_worst_roll_forward")
+            )
+    }
 
     fn doc(apps: &[(&str, bool, &str)]) -> Json {
         let rows = apps
@@ -496,14 +438,14 @@ mod tests {
     fn baseline_compare_flags_regressions() {
         let base = doc(&[("a", true, "clean"), ("b", true, "diverged@100")]);
         let good = doc(&[("a", true, "clean"), ("b", true, "diverged@100")]);
-        assert!(compare_to_baseline(&good, &base).is_ok());
+        assert!(compare(verdict_gates, &good, &base).is_empty());
 
         let drifted = doc(&[("a", false, "clean"), ("b", true, "diverged@250")]);
-        let failures = compare_to_baseline(&drifted, &base).unwrap_err();
+        let failures = compare(verdict_gates, &drifted, &base);
         assert_eq!(failures.len(), 2);
 
         let missing = doc(&[("a", true, "clean")]);
-        let failures = compare_to_baseline(&missing, &base).unwrap_err();
+        let failures = compare(verdict_gates, &missing, &base);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains('b'));
     }
@@ -512,23 +454,41 @@ mod tests {
     fn baseline_compare_gates_reverse_step_drift() {
         let base = doc_with_rstep(&[("a", true, "clean", 255), ("b", true, "clean", 511)]);
         let same = doc_with_rstep(&[("a", true, "clean", 255), ("b", true, "clean", 511)]);
-        assert!(compare_to_baseline(&same, &base).is_ok());
+        assert!(compare(rstep_gates, &same, &base).is_empty());
 
         let drifted = doc_with_rstep(&[("a", true, "clean", 255), ("b", true, "clean", 1023)]);
-        let failures = compare_to_baseline(&drifted, &base).unwrap_err();
+        let failures = compare(rstep_gates, &drifted, &base);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("reverse-step"), "{failures:?}");
+        assert!(
+            failures[0].contains("b: rstep_worst_roll_forward drifted"),
+            "{failures:?}"
+        );
 
         // A baseline predating the field gates nothing per app.
         let old_base = doc(&[("a", true, "clean"), ("b", true, "clean")]);
-        assert!(compare_to_baseline(&same, &old_base).is_ok());
+        assert!(compare(rstep_gates, &same, &old_base).is_empty());
+    }
+
+    #[test]
+    fn baseline_compare_rejects_a_pinned_reverse_step_the_run_dropped() {
+        // The baseline pins the ceiling; a run that stops emitting it must
+        // fail per app, and the all-missing column is a vacuous gate.
+        let base = doc_with_rstep(&[("a", true, "clean", 255), ("b", true, "clean", 511)]);
+        let dropped = doc(&[("a", true, "clean"), ("b", true, "clean")]);
+        let failures = compare(rstep_gates, &dropped, &base);
+        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert!(failures[0].contains("rstep_worst_roll_forward is zero, false or missing"));
+        assert!(failures[1]
+            .contains("a: rstep_worst_roll_forward pinned by the baseline but not measured"));
+        assert!(failures[2]
+            .contains("b: rstep_worst_roll_forward pinned by the baseline but not measured"));
     }
 
     #[test]
     fn baseline_compare_rejects_vacuous_reverse_step_gate() {
         let base = doc_with_rstep(&[("a", true, "clean", 0), ("b", true, "clean", 0)]);
         let cur = doc_with_rstep(&[("a", true, "clean", 0), ("b", true, "clean", 0)]);
-        let failures = compare_to_baseline(&cur, &base).unwrap_err();
+        let failures = compare(rstep_gates, &cur, &base);
         assert!(
             failures.iter().any(|f| f.contains("vacuous")),
             "{failures:?}"
@@ -536,7 +496,7 @@ mod tests {
         // One non-zero ceiling is enough to make the gate meaningful.
         let mixed = doc_with_rstep(&[("a", true, "clean", 0), ("b", true, "clean", 511)]);
         let mixed_base = doc_with_rstep(&[("a", true, "clean", 0), ("b", true, "clean", 511)]);
-        assert!(compare_to_baseline(&mixed, &mixed_base).is_ok());
+        assert!(compare(rstep_gates, &mixed, &mixed_base).is_empty());
     }
 
     #[test]

@@ -21,16 +21,17 @@
 //!
 //! The cursor is deliberately policy-free: it never constructs timeout
 //! errors (callers keep their own diagnostics) and never flushes
-//! implicitly ([`FLUSH_MARGIN`] is exported for callers that drain the
-//! trace store after completion).
+//! implicitly (callers that drain the trace store after completion call
+//! [`SessionCursor::flush`]).
 
 use vidi_hwsim::{SignalId, SignalPool, SimError, Simulator};
 
 use crate::shim::VidiShim;
 
 /// Cycles a completed session runs past its stop point so the streaming
-/// trace store drains every staged packet. One margin, shared by the
-/// application harness, the checkpoint runner, and the fleet worker.
+/// trace store drains every staged packet. The one definition of the
+/// margin: drive loops drain through [`SessionCursor::flush`], and the
+/// segmented verifier's default flush budget re-exports it.
 pub const FLUSH_MARGIN: u64 = 4096;
 
 /// Default chunk the cursor advances between condition checks.

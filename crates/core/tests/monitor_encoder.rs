@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use vidi_chan::{Channel, Direction, ReceiverLatch, SenderQueue};
-use vidi_core::{VidiConfig, VidiShim};
+use vidi_core::{RawSession, SessionCursor, VidiConfig, VidiShim};
 use vidi_hwsim::{Bits, Component, SignalPool, Simulator};
 use vidi_trace::Trace;
 
@@ -100,7 +100,12 @@ fn run_input_channel(
         "transfers",
     )
     .unwrap();
-    sim.run(4096).unwrap();
+    SessionCursor::new(&mut RawSession {
+        sim: &mut sim,
+        shim: &shim,
+    })
+    .flush()
+    .unwrap();
     let v = got.borrow().clone();
     (v, shim.recorded_trace().unwrap())
 }

@@ -22,10 +22,6 @@ use crate::session::{
 /// eviction latency without measurably slowing the simulation loop.
 const RUN_SLICE: u64 = 256;
 
-/// Extra cycles simulated after workload completion so the trace store
-/// drains — the stack-wide flush margin from the unified drive core.
-const FLUSH_MARGIN: u64 = vidi_core::drive::FLUSH_MARGIN;
-
 /// Fleet-wide policy knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -528,6 +524,49 @@ fn panic_message(payload: &dyn std::any::Any) -> String {
     }
 }
 
+/// Records `spec` solo — the same configuration, with no fleet, no credit
+/// arbiter and no faults — and returns the finalized trace image. Clean
+/// fleet tenants must reproduce it bit for bit. The run has the worker's
+/// shape: completion checked every 256-cycle run slice, the flush margin,
+/// then finalize.
+///
+/// # Errors
+///
+/// [`FailureCause::Sim`] if the simulation fails or the CPU threads do not
+/// finish within `spec.max_cycles`; [`FailureCause::Io`] if the image
+/// cannot be streamed or finalized.
+pub fn solo_image(spec: &SessionSpec) -> Result<Vec<u8>, FailureCause> {
+    let image = SharedImage::new();
+    let setup = spec.app.setup(spec.scale, spec.seed);
+    let mut built = build_app_with_faults(setup, spec.vidi_config(), FaultInjection::none());
+    built
+        .shim
+        .stream_to(Box::new(image.clone()))
+        .map_err(|e| FailureCause::Io(e.to_string()))?;
+    let mut cursor = SessionCursor::new(&mut built);
+    let ev = cursor
+        .run_until(
+            Stop::when(|b: &mut vidi_apps::BuiltApp| b.cpu.iter().all(|h| h.borrow().finished))
+                .or_at_cycle(spec.max_cycles)
+                .check_every(RUN_SLICE),
+        )
+        .map_err(|e| FailureCause::Sim(e.to_string()))?;
+    if ev.reason != StopReason::PredicateTrue {
+        return Err(FailureCause::Sim(format!(
+            "solo run of {} did not finish within {} cycles",
+            spec.name, spec.max_cycles
+        )));
+    }
+    cursor
+        .flush()
+        .map_err(|e| FailureCause::Sim(e.to_string()))?;
+    built
+        .shim
+        .finalize_recording()
+        .map_err(|e| FailureCause::Io(e.to_string()))?;
+    Ok(image.snapshot())
+}
+
 /// Builds and runs one session entirely on the calling worker thread (the
 /// simulator is thread-local by construction; only `Send` data crossed into
 /// the claim). Runs in [`RUN_SLICE`]-cycle slices, honoring cancellation at
@@ -591,9 +630,8 @@ fn run_session(claim: &Claim, arbiter: &Arc<CreditArbiter>) -> Result<RunEnd, Fa
     let evicted = evicted_flag.get();
 
     if !evicted {
-        built
-            .sim
-            .run(FLUSH_MARGIN)
+        SessionCursor::new(&mut built)
+            .flush()
             .map_err(|e| FailureCause::Sim(e.to_string()))?;
     }
     // Finalize unconditionally (even for evicted sessions): flushes every

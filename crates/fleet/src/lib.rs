@@ -37,7 +37,7 @@ mod session;
 
 pub use api::{FleetRequest, FleetResponse};
 pub use arbiter::{ArbiterStats, CreditArbiter};
-pub use fleet::{Fleet, FleetConfig, FleetStats, SessionStatus};
+pub use fleet::{solo_image, Fleet, FleetConfig, FleetStats, SessionStatus};
 pub use ledger::{AdmissionError, AdmissionLedger};
 pub use session::{
     FailureCause, RunEnd, SessionFailure, SessionId, SessionMode, SessionReport, SessionSpec,

@@ -5,35 +5,9 @@
 //! eviction mid-run leaves a certified durable prefix that replays, exactly
 //! like the raw eviction path.
 
-use vidi_apps::{build_app_with_faults, AppId, Scale};
-use vidi_core::FaultInjection;
-use vidi_fleet::{Fleet, FleetConfig, SessionSpec, SessionState, SharedImage};
+use vidi_apps::{AppId, Scale};
+use vidi_fleet::{solo_image, Fleet, FleetConfig, SessionSpec, SessionState};
 use vidi_trace::CodecId;
-
-/// Records the spec solo (no fleet, no arbiter) through the supervisor's
-/// run shape: 256-cycle slices, 4096 flush margin, finalize.
-fn solo_image(spec: &SessionSpec) -> Vec<u8> {
-    let image = SharedImage::new();
-    let mut built = build_app_with_faults(
-        spec.app.setup(spec.scale, spec.seed),
-        spec.vidi_config(),
-        FaultInjection::none(),
-    );
-    built
-        .shim
-        .stream_to(Box::new(image.clone()))
-        .expect("no chunk flushed yet");
-    let handles = built.cpu.clone();
-    let mut cycles = 0u64;
-    while !handles.iter().all(|h| h.borrow().finished) {
-        built.sim.run(256).expect("solo run progresses");
-        cycles += 256;
-        assert!(cycles < spec.max_cycles, "solo baseline wedged");
-    }
-    built.sim.run(4096).expect("solo flush margin");
-    built.shim.finalize_recording().expect("solo finalize");
-    image.snapshot()
-}
 
 #[test]
 fn compressed_tenants_decode_identically_to_raw() {
@@ -64,7 +38,7 @@ fn compressed_tenants_decode_identically_to_raw() {
         .collect();
     fleet.wait_all();
 
-    let raw_image = solo_image(&specs[0]);
+    let raw_image = solo_image(&specs[0]).expect("solo run");
     let raw_trace = vidi_trace::recover_trace(&raw_image)
         .expect("raw baseline recovers")
         .trace;
@@ -152,10 +126,13 @@ fn evicted_compressed_tenant_finalizes_like_raw() {
 
     // Packet-level parity with the raw path: the evicted prefix is the
     // first N packets of what an uninterrupted raw recording produces.
-    let full_raw = vidi_trace::recover_trace(&solo_image(&SessionSpec {
-        trace_codec: CodecId::Raw,
-        ..spec.clone()
-    }))
+    let full_raw = vidi_trace::recover_trace(
+        &solo_image(&SessionSpec {
+            trace_codec: CodecId::Raw,
+            ..spec.clone()
+        })
+        .expect("solo run"),
+    )
     .expect("raw baseline recovers")
     .trace;
     let n = recovered.trace.packets().len();

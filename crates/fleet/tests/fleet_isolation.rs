@@ -13,12 +13,11 @@
 //! * admission never over-commits: the ninth tenant is refused with a
 //!   typed error, and peak reservations stay within the budget.
 
-use vidi_apps::{build_app_with_faults, AppId, Scale};
-use vidi_core::FaultInjection;
+use vidi_apps::{AppId, Scale};
 use vidi_faults::{CorruptionSpec, FaultSpec, StorageFailureSpec, WindowSpec};
 use vidi_fleet::{
-    AdmissionError, FailureCause, Fleet, FleetConfig, FleetRequest, FleetResponse, SessionId,
-    SessionSpec, SessionState,
+    solo_image, AdmissionError, FailureCause, Fleet, FleetConfig, FleetRequest, FleetResponse,
+    SessionId, SessionSpec, SessionState,
 };
 
 /// Cycle budget for the wedged (store-faulted) sessions: far beyond any
@@ -105,33 +104,6 @@ fn rot_spec() -> SessionSpec {
     })
 }
 
-/// Records the spec solo — same configuration, no fleet, no arbiter, no
-/// faults — mirroring the supervisor's run loop (256-cycle slices, 4096
-/// flush margin, finalize). The returned bytes are the trace image a fleet
-/// run must reproduce exactly.
-fn solo_image(spec: &SessionSpec) -> Vec<u8> {
-    let image = vidi_fleet::SharedImage::new();
-    let mut built = build_app_with_faults(
-        spec.app.setup(spec.scale, spec.seed),
-        spec.vidi_config(),
-        FaultInjection::none(),
-    );
-    built
-        .shim
-        .stream_to(Box::new(image.clone()))
-        .expect("no chunk flushed yet");
-    let handles = built.cpu.clone();
-    let mut cycles = 0u64;
-    while !handles.iter().all(|h| h.borrow().finished) {
-        built.sim.run(256).expect("solo run progresses");
-        cycles += 256;
-        assert!(cycles < spec.max_cycles, "solo baseline wedged");
-    }
-    built.sim.run(4096).expect("solo flush margin");
-    built.shim.finalize_recording().expect("solo finalize");
-    image.snapshot()
-}
-
 fn expect_failed(fleet: &Fleet, id: SessionId, spec: &SessionSpec) -> FailureCause {
     let state = fleet.state_of(id).expect("session exists");
     let SessionState::Failed(failure) = state else {
@@ -207,7 +179,7 @@ fn eight_tenant_fault_matrix_soak() {
         );
         assert_eq!(
             prefix.bytes,
-            solo_image(spec),
+            solo_image(spec).expect("solo run"),
             "{}: fleet trace diverged from the solo run — arbitration leaked \
              into a fully provisioned tenant",
             spec.name
@@ -266,7 +238,8 @@ fn eight_tenant_fault_matrix_soak() {
             faults: None,
             ..crash_spec()
         };
-        vidi_fleet::TracePrefix::certify(solo_image(&unfaulted)).certified_packets
+        vidi_fleet::TracePrefix::certify(solo_image(&unfaulted).expect("solo run"))
+            .certified_packets
     };
     assert!(
         prefix.certified_packets < full_packets,

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use vidi_apps::{build_app, AppId, Scale};
-use vidi_core::{ReplayInput, VidiConfig};
+use vidi_core::{ReplayInput, SessionCursor, VidiConfig};
 use vidi_snap::{checkpointed_replay, replay_from, CheckpointPolicy, ParallelVerifier};
 use vidi_trace::{CodecId, SharedChunks, Trace};
 
@@ -29,7 +29,9 @@ fn record_compressed(app: AppId, seed: u64, codec: CodecId) -> (Vec<u8>, Trace) 
             "all CPU threads to finish",
         )
         .expect("record run completes");
-    built.sim.run(4096).expect("flush margin");
+    SessionCursor::new(&mut built)
+        .flush()
+        .expect("flush margin");
     let image = built
         .shim
         .recorded_stream_image()

@@ -22,6 +22,11 @@ cargo test -q
 echo "── workspace tests (unit + integration + fault-matrix soak) ────"
 cargo test -q --workspace
 
+echo "── perfbench: build + unit tests of the benchmark workspace ─────"
+# perfbench is a separate workspace over the public APIs of vidi-bench,
+# vidi-core and vidi-snap; building it here keeps those APIs honest.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "── streaming soak: bounded-memory record + kill-recovery gate ──"
 # Streams a recording to disk until the framed trace spans several chunk
 # windows (asserting peak buffered bytes stay under the streaming bound),
@@ -96,15 +101,12 @@ grep -q "causal transaction: pcim.w end #0" "$convert_dir/atop.out" \
 echo "── vidi-lint: static design lint + trace-analysis gate ─────────"
 cargo run --release -q -p vidi-lint -- ci --config scripts/vidi-lint.allow
 
+# The three bench steps below each emit a BENCH_*.json document and fail
+# on any entry of that bench's gate table (crates/bench/src/gate.rs:
+# gate::sim, gate::snap, gate::fleet), checked against the committed
+# baseline.
+
 echo "── bench smoke: scheduler equivalence + evals/cycle gate ───────"
-# Emits BENCH_sim.json and fails on trace divergence between the three
-# schedulers (full / incremental / compiled), <2x eval reduction on half
-# the catalog, <2x compiled wall-clock speedup over incremental on half
-# the catalog (with all-zero tick_skips treated as a vacuous-gate
-# failure), any codec round-trip mismatch, <3x best-codec compression on
-# half the catalog (all-raw ratios are a vacuous-gate failure), or a
-# per-mode evals/cycle or compression-ratio regression against the
-# committed baseline.
 cargo run --release -q -p vidi-bench --bin bench_sim -- \
     --out BENCH_sim.json --baseline scripts/bench_sim_baseline.json
 
@@ -117,18 +119,10 @@ echo "── fleet soak: multi-tenant isolation + admission gate ─────
 cargo test -q --release -p vidi-fleet
 
 echo "── fleet bench: throughput + isolation trajectory ──────────────"
-# Emits BENCH_fleet.json (sessions/sec, aggregate cycles/sec, peak global
-# buffered bytes vs budget) and fails on any outcome/cause drift,
-# bit-identity loss, or budget violation against the committed baseline.
 cargo run --release -q -p vidi-bench --bin bench_fleet -- \
     --out BENCH_fleet.json --baseline scripts/bench_fleet_baseline.json
 
 echo "── snap smoke: checkpoint exactness + parallel-verify gate ─────"
-# Emits BENCH_snap.json and fails on any checkpoint round-trip inexactness,
-# serial/parallel report disagreement, verdict drift against the committed
-# baseline, <2x modeled verify speedup on half the catalog at 4 threads,
-# worst-case reverse-step roll-forward drift from the pinned cadence, or
-# an all-zero reverse-step column (vacuous gate).
 cargo run --release -q -p vidi-bench --bin bench_snap -- \
     --out BENCH_snap.json --baseline scripts/bench_snap_baseline.json --threads 4
 

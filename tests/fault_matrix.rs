@@ -465,7 +465,9 @@ fn killed_replay_resumes_from_last_durable_checkpoint() {
         StopReason::ReplayComplete,
         "resumed replay must complete"
     );
-    resumed.sim.run(4096).expect("flush margin");
+    SessionCursor::new(&mut resumed)
+        .flush()
+        .expect("flush margin");
     assert_eq!(
         resumed.shim.recorded_trace().expect("validation trace"),
         unfaulted_trace,

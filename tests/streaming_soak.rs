@@ -4,7 +4,7 @@
 //! trace buffer contract, reproduced at file granularity.
 
 use vidi_repro::apps::{build_app, run_app, AppId, Scale};
-use vidi_repro::core::{ReplayInput, VidiConfig};
+use vidi_repro::core::{ReplayInput, SessionCursor, VidiConfig};
 use vidi_repro::host::{file_chunk_source, FileChunkSink};
 use vidi_repro::trace::{Trace, TraceSource, STORAGE_WORD_BYTES};
 
@@ -61,7 +61,9 @@ fn long_recording_streams_to_disk_and_replays_without_loading() {
             "all CPU threads to finish",
         )
         .expect("streamed recording completes");
-    built.sim.run(4096).expect("trace-flush margin"); // store drain
+    SessionCursor::new(&mut built)
+        .flush()
+        .expect("trace-flush margin"); // store drain
     built
         .shim
         .finalize_recording()
