@@ -100,7 +100,7 @@ impl DriveSession for BuiltApp {
 pub struct RunOutcome {
     /// Application name.
     pub name: &'static str,
-    /// Cycles until the workload completed (excluding trace-flush margin).
+    /// Cycles until the workload completed (excluding the trace-store drain).
     pub cycles: u64,
     /// The recorded trace, in recording modes.
     pub trace: Option<Trace>,
@@ -129,7 +129,7 @@ pub struct RunOutcome {
     /// Host memory after the run.
     pub host_mem: HostMemory,
     /// Scheduler performance counters accumulated over the whole run
-    /// (including the trace-flush margin); see [`vidi_hwsim::SimStats`].
+    /// (including the trace-store drain); see [`vidi_hwsim::SimStats`].
     pub sim_stats: SimStats,
 }
 
@@ -148,7 +148,6 @@ pub fn build_app_with_faults(
     faults: FaultInjection,
 ) -> BuiltApp {
     let mut sim = Simulator::new();
-    sim.set_eval_mode(vidi.eval_mode);
     let replaying = vidi.mode.replays();
 
     // Application-side interfaces for all five F1 buses (paper worst case).
@@ -264,13 +263,16 @@ pub fn build_app_with_faults(
 ///
 /// In recording/transparent modes, completion means every CPU thread
 /// finished its script; in replay modes it means the replay engine drained.
-/// A trace-flush margin is run afterwards so the store finishes writing.
+/// The trace store is then drained ([`SessionCursor::flush`]): the run
+/// continues until nothing is staged, which takes zero cycles for a plain
+/// replay.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Timeout`] if the workload does not complete within
 /// `max_cycles` — which is how deadlocks (e.g. a mutated-trace replay
-/// against a buggy design, §5.3) are detected and reported.
+/// against a buggy design, §5.3) are detected and reported — or if the
+/// trace store cannot drain what it has staged.
 pub fn run_app(mut built: BuiltApp, max_cycles: u64) -> Result<RunOutcome, SimError> {
     let replaying = built.cpu.is_empty();
     let cycles = if replaying {
@@ -301,7 +303,6 @@ pub fn run_app(mut built: BuiltApp, max_cycles: u64) -> Result<RunOutcome, SimEr
         }
         ev.cycle
     };
-    // Flush margin for the trace store.
     SessionCursor::new(&mut built).flush()?;
 
     let stats = built.shim.stats();

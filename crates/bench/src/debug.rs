@@ -473,7 +473,6 @@ impl Debugger {
         let factory = || target.build(&reference);
         let options = VerifyOptions {
             final_budget: self.options.final_budget,
-            ..VerifyOptions::default()
         };
         let verifier =
             ParallelVerifier::new(factory, &self.log, &self.reference).with_options(options);

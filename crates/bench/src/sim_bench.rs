@@ -133,7 +133,7 @@ fn record_stream(app: AppId, scale: Scale, seed: u64, codec: CodecId) -> (Vec<u8
         .expect("codec recording completes");
     SessionCursor::new(&mut built)
         .flush()
-        .expect("flush margin");
+        .expect("store drains");
     (
         built
             .shim

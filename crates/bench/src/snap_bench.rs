@@ -28,7 +28,7 @@ use vidi_core::VidiConfig;
 use vidi_hwsim::EvalMode;
 use vidi_snap::{
     checkpointed_replay, replay_from, CheckpointLog, CheckpointPolicy, ParallelVerifier,
-    VerifyOptions, VerifyVerdict,
+    VerifyVerdict,
 };
 
 use crate::json::{obj, Json};
@@ -40,13 +40,6 @@ const TARGET_SEGMENTS: u64 = 16;
 
 /// Smallest checkpoint cadence worth the snapshot cost.
 const MIN_EVERY: u64 = 256;
-
-/// Post-completion flush budget for the verification sweep. The default
-/// ([`vidi_snap::FLUSH_MARGIN`]) is sized for bench-scale workloads;
-/// test-scale catalog apps drain their channels within tens of cycles, and
-/// the margin lands entirely on the final segment, so an oversized value
-/// would dominate the schedule's critical path.
-const VERIFY_FLUSH_MARGIN: u64 = 1024;
 
 /// One application's checkpoint/seek/verify measurements.
 #[derive(Debug, Clone)]
@@ -133,13 +126,13 @@ fn checkpoint_restores_exactly(
 /// costs (in replayed cycles) are known from the checkpoint cadence, and
 /// the verifier hands segments to workers in order through a shared
 /// counter — so the schedule, and with it the critical path, is a pure
-/// function of the log. The final segment pays the flush margin like the
-/// real sweep does.
-fn schedule_speedup(log: &CheckpointLog, flush_margin: u64, threads: usize) -> f64 {
+/// function of the log. The final segment's store drain is not counted:
+/// an R3 replay has nothing staged when it completes.
+fn schedule_speedup(log: &CheckpointLog, threads: usize) -> f64 {
     let cps = &log.checkpoints;
     let mut costs: Vec<u64> = cps.windows(2).map(|w| w[1].cycle - w[0].cycle).collect();
     let last = cps.last().expect("checkpoint logs start at cycle 0");
-    costs.push(log.final_cycle - last.cycle + flush_margin);
+    costs.push(log.final_cycle - last.cycle);
     let total: u64 = costs.iter().sum();
     // Earliest-free-worker assignment in segment order — the same order
     // the verifier's atomic work counter produces.
@@ -266,11 +259,7 @@ pub fn measure_app(app: AppId, scale: Scale, seed: u64, threads: usize) -> SnapB
     // valid data — catalog DMA diverges by design — as long as serial and
     // parallel agree on it.
     let factory = || build_app(app.setup(scale, seed), replay_cfg.clone());
-    let options = VerifyOptions {
-        flush_margin: VERIFY_FLUSH_MARGIN,
-        ..VerifyOptions::default()
-    };
-    let verifier = ParallelVerifier::new(factory, &log, &reference).with_options(options);
+    let verifier = ParallelVerifier::new(factory, &log, &reference);
     let start = Instant::now();
     let serial = verifier.verify_serial().expect("serial verify");
     let verify_serial_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -290,7 +279,7 @@ pub fn measure_app(app: AppId, scale: Scale, seed: u64, threads: usize) -> SnapB
         seek_speedup: seek_cold_ms / seek_warm_ms.max(1e-9),
         verify_serial_ms,
         verify_parallel_ms,
-        verify_speedup: schedule_speedup(&log, VERIFY_FLUSH_MARGIN, threads),
+        verify_speedup: schedule_speedup(&log, threads),
         verify_consistent,
         rstep_worst_roll_forward,
         rstep_worst_ms,
@@ -541,18 +530,18 @@ mod tests {
             txn_counts: Vec::new(),
             state: Vec::new(),
         };
-        // Four equal 100-cycle segments + a final 100-cycle + 1024 flush
-        // segment on two threads: greedy loads are 200/200 then the final
-        // lands on either -> critical path 200 + 1124.
+        // Four equal 100-cycle segments + a final 1100-cycle segment on two
+        // threads: greedy loads are 200/200 then the final lands on either
+        // -> critical path 200 + 1100.
         let log = CheckpointLog {
             checkpoints: vec![cp(0), cp(100), cp(200), cp(300), cp(400)],
-            final_cycle: 500,
+            final_cycle: 1500,
             completed: true,
         };
-        let speedup = schedule_speedup(&log, 1024, 2);
-        let expect = (400.0 + 1124.0) / (200.0 + 1124.0);
+        let speedup = schedule_speedup(&log, 2);
+        let expect = (400.0 + 1100.0) / (200.0 + 1100.0);
         assert!((speedup - expect).abs() < 1e-9, "{speedup} vs {expect}");
         // One thread is always exactly serial.
-        assert!((schedule_speedup(&log, 1024, 1) - 1.0).abs() < 1e-9);
+        assert!((schedule_speedup(&log, 1) - 1.0).abs() < 1e-9);
     }
 }

@@ -72,13 +72,6 @@ pub struct VidiConfig {
     /// instead of stalling further, counting every drop in
     /// [`RecordedRun::dropped_packets`](crate::RecordedRun::dropped_packets).
     pub stall_budget: Option<u64>,
-    /// Deterministic-checkpoint cadence for seekable replay: with
-    /// `Some(n)`, a checkpointing harness (see the `vidi-snap` crate)
-    /// captures a full simulator snapshot every `n` cycles at cycle
-    /// boundaries. `None` (the default) disables checkpointing. The field
-    /// is policy only — the shim itself never snapshots; it is consumed by
-    /// whatever drives the simulation loop.
-    pub checkpoint_every: Option<u64>,
     /// Chunk size of the streaming trace path, in 64-byte storage words.
     /// The trace store flushes to its chunk backend and the replay decoder
     /// reads ahead in units of this many words, which bounds both sides'
@@ -92,11 +85,6 @@ pub struct VidiConfig {
     /// compression ratio multiplies effective drain rate. Replay is
     /// self-configuring: the codec rides in the recorded stream's header.
     pub trace_codec: vidi_trace::CodecId,
-    /// Settle-phase scheduler of the underlying simulator (see
-    /// [`vidi_hwsim::EvalMode`]). All modes are bit-identical; this is a
-    /// pure performance knob, consumed by whatever builds the simulation
-    /// (e.g. the app harness) rather than by the shim itself.
-    pub eval_mode: vidi_hwsim::EvalMode,
 }
 
 impl Default for VidiConfig {
@@ -108,10 +96,8 @@ impl Default for VidiConfig {
             store_bytes_per_cycle: 22,
             fetch_bytes_per_cycle: 22,
             stall_budget: None,
-            checkpoint_every: None,
             trace_chunk_words: vidi_trace::DEFAULT_CHUNK_WORDS,
             trace_codec: vidi_trace::CodecId::Raw,
-            eval_mode: vidi_hwsim::EvalMode::default(),
         }
     }
 }
@@ -153,18 +139,6 @@ impl VidiConfig {
             mode: VidiMode::ReplayOrderless(trace.into()),
             ..VidiConfig::default()
         }
-    }
-
-    /// The same configuration with checkpointing armed every `every` cycles.
-    pub fn with_checkpoints(mut self, every: u64) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// The same configuration with a different settle-phase scheduler.
-    pub fn with_eval_mode(mut self, mode: vidi_hwsim::EvalMode) -> Self {
-        self.eval_mode = mode;
-        self
     }
 
     /// The same configuration recording through a trace block codec.

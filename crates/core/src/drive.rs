@@ -28,11 +28,10 @@ use vidi_hwsim::{SignalId, SignalPool, SimError, Simulator};
 
 use crate::shim::VidiShim;
 
-/// Cycles a completed session runs past its stop point so the streaming
-/// trace store drains every staged packet. The one definition of the
-/// margin: drive loops drain through [`SessionCursor::flush`], and the
-/// segmented verifier's default flush budget re-exports it.
-pub const FLUSH_MARGIN: u64 = 4096;
+/// Cycles [`SessionCursor::flush`] waits for the trace store to drain
+/// before it reports the staged packets as a timeout. Catalog recordings
+/// drain in at most a few hundred cycles.
+const DRAIN_DEADLINE: u64 = 4096;
 
 /// Default chunk the cursor advances between condition checks.
 pub const DEFAULT_CHECK_EVERY: u64 = 256;
@@ -328,13 +327,31 @@ impl<'s, S: DriveSession + ?Sized> SessionCursor<'s, S> {
         Ok(self.session.sim().cycle())
     }
 
-    /// Runs the trace store's drain margin ([`FLUSH_MARGIN`] cycles).
+    /// Drains the trace store: runs cycle by cycle until the recording has
+    /// nothing staged ([`VidiShim::store_drained`]). Sessions that do not
+    /// record drain in zero cycles.
     ///
     /// # Errors
     ///
-    /// Propagates any [`SimError`] from the simulator.
+    /// [`SimError::Timeout`] naming the staged packet count when the store
+    /// has not drained within 4096 cycles; otherwise propagates any
+    /// [`SimError`] from the simulator.
     pub fn flush(&mut self) -> Result<(), SimError> {
-        self.session.sim().run(FLUSH_MARGIN)
+        let deadline = self.cycle() + DRAIN_DEADLINE;
+        let ev = self.run_until(
+            Stop::when(|s: &mut S| s.shim().store_drained())
+                .or_at_cycle(deadline)
+                .check_every(1),
+        )?;
+        if ev.reason == StopReason::PredicateTrue {
+            return Ok(());
+        }
+        let staged = self.session.shim().stats().staged_packets;
+        Err(SimError::Timeout {
+            cycle: ev.cycle,
+            waiting_for: format!("the trace store to drain ({staged} packets staged)"),
+            diagnostics: self.session.sim().diagnostics(),
+        })
     }
 
     /// Advances the session until the first [`Stop`] condition holds and

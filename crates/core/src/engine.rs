@@ -47,6 +47,9 @@ pub struct VidiStats {
     pub backpressure_cycles: u64,
     /// Channel-packet events folded into the trace.
     pub events_logged: u64,
+    /// Cycle packets staged in the encoder FIFO, awaiting store bandwidth
+    /// (as of the last clock edge). Zero once the recording has drained.
+    pub staged_packets: u64,
     /// High-water mark of bytes buffered in the streaming trace sink
     /// awaiting a chunk flush — the bounded-memory witness: stays
     /// O(chunk size) no matter how long the recording runs.
@@ -261,6 +264,7 @@ impl Component for VidiEngine {
             let mut stats = self.stats.borrow_mut();
             stats.backpressure_cycles = encoder.backpressure_cycles();
             stats.events_logged = encoder.events_logged();
+            stats.staged_packets = encoder.fifo_len() as u64;
         }
         self.tick_changed = enc_active || store_active;
         self.tick_active = enc_active || store_active || fifo_occupied || self.decoder.is_some();
@@ -439,6 +443,7 @@ impl Component for VidiEngine {
         let mut stats = self.stats.borrow_mut();
         stats.backpressure_cycles = r.u64()?;
         stats.events_logged = r.u64()?;
+        stats.staged_packets = self.encoder.as_ref().map_or(0, |e| e.fifo_len() as u64);
         drop(stats);
         self.cycle = r.u64()?;
         Ok(())

@@ -364,6 +364,18 @@ impl VidiShim {
         self.record.as_ref().map_or(0, |r| r.borrow().write_retries)
     }
 
+    /// Whether the recording has nothing left to move to storage: the
+    /// encoder FIFO is empty and no sealed chunk waits to flush. Always
+    /// `true` in non-recording modes, which have no store to drain.
+    pub fn store_drained(&self) -> bool {
+        let staged = self.stats.as_ref().map_or(0, |s| s.borrow().staged_packets);
+        let pending = self
+            .record
+            .as_ref()
+            .is_some_and(|r| r.borrow().chunk_pending());
+        staged == 0 && !pending
+    }
+
     /// Whether a replay has dispatched every packet and drained every
     /// replayer. `false` in non-replay modes.
     pub fn replay_complete(&self) -> bool {
@@ -395,6 +407,7 @@ impl VidiShim {
                 VidiStats {
                     backpressure_cycles: s.backpressure_cycles,
                     events_logged: s.events_logged,
+                    staged_packets: s.staged_packets,
                     peak_buffered_bytes: 0,
                     chunks_flushed: 0,
                     bytes_written: 0,

@@ -131,6 +131,11 @@ impl RecordedRun {
         self.sink.peak_buffered_bytes() as u64
     }
 
+    /// Whether a sealed full chunk is waiting for the store to flush it.
+    pub(crate) fn chunk_pending(&self) -> bool {
+        self.sink.full_chunks() > 0
+    }
+
     /// Chunks flushed to the backend so far.
     pub fn chunks_flushed(&self) -> u64 {
         self.sink.chunks_flushed()

@@ -527,7 +527,7 @@ fn panic_message(payload: &dyn std::any::Any) -> String {
 /// Records `spec` solo — the same configuration, with no fleet, no credit
 /// arbiter and no faults — and returns the finalized trace image. Clean
 /// fleet tenants must reproduce it bit for bit. The run has the worker's
-/// shape: completion checked every 256-cycle run slice, the flush margin,
+/// shape: completion checked every 256-cycle run slice, the store drain,
 /// then finalize.
 ///
 /// # Errors

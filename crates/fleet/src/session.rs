@@ -140,7 +140,7 @@ impl SessionSpec {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionReport {
     /// Cycles simulated before completion/cancellation (excluding the
-    /// trace-flush margin).
+    /// trace-store drain).
     pub cycles: u64,
     /// Cycle packets committed to the session's trace image.
     pub packets: u64,

@@ -35,6 +35,6 @@ pub use container::{
     SNAP_VERSION,
 };
 pub use error::SnapError;
-pub use runner::{checkpointed_replay, replay_from, CheckpointPolicy, SeekOutcome, FLUSH_MARGIN};
+pub use runner::{checkpointed_replay, replay_from, CheckpointPolicy, SeekOutcome};
 pub use session::SnapSession;
 pub use verify::{ParallelVerifier, VerifyOptions, VerifyReport, VerifyVerdict};

@@ -1,14 +1,9 @@
 //! Checkpointed replay and seekable replay (`replay_from`), driven through
 //! the unified [`SessionCursor`] stepping core.
 
-use vidi_core::{SessionCursor, Stop, StopReason, VidiConfig};
+use vidi_core::{SessionCursor, Stop, StopReason};
 
 use crate::{Checkpoint, CheckpointLog, SnapError, SnapSession};
-
-/// Cycles the store is given to drain staged packets after a replay
-/// completes — the stack-wide flush margin, re-exported from the drive core
-/// so every layer shares one definition.
-pub use vidi_core::drive::FLUSH_MARGIN;
 
 /// How often to checkpoint, in cycles.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -27,12 +22,6 @@ impl CheckpointPolicy {
     pub fn every(every: u64) -> Self {
         assert!(every > 0, "checkpoint cadence must be positive");
         CheckpointPolicy { every }
-    }
-
-    /// The policy a [`VidiConfig`] asks for via
-    /// [`VidiConfig::checkpoint_every`], if any.
-    pub fn from_config(config: &VidiConfig) -> Option<Self> {
-        config.checkpoint_every.map(Self::every)
     }
 }
 
@@ -53,7 +42,7 @@ impl Checkpoint {
 }
 
 /// Replays the session to completion, snapshotting every `policy.every`
-/// cycles (and once at cycle 0), then runs the store's flush margin.
+/// cycles (and once at cycle 0), then drains the trace store.
 ///
 /// The session must be freshly built in a replaying, recording mode
 /// (`VidiMode::ReplayRecord`): the validation trace accumulated so far is

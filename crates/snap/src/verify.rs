@@ -25,24 +25,21 @@ use std::sync::Mutex;
 use vidi_core::{SessionCursor, Stop, StopReason};
 use vidi_trace::{compare, Divergence, Trace};
 
-use crate::runner::FLUSH_MARGIN;
 use crate::{Checkpoint, CheckpointLog, SnapError, SnapSession};
 
-/// Knobs for segment execution.
+/// Knobs for segment execution. The final segment drains the trace store
+/// through [`SessionCursor::flush`] after it stops.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VerifyOptions {
     /// Extra cycles the final segment may run past its checkpoint while
     /// waiting for replay completion before declaring a deadlock.
     pub final_budget: u64,
-    /// Store-drain margin run after the final segment completes.
-    pub flush_margin: u64,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             final_budget: 1_000_000,
-            flush_margin: FLUSH_MARGIN,
         }
     }
 }
@@ -220,7 +217,7 @@ where
                 if ev.reason == StopReason::CycleReached {
                     deadlock = Some((ev.cycle, s.sim().diagnostics()));
                 }
-                s.sim().run(self.options.flush_margin)?;
+                SessionCursor::new(&mut s).flush()?;
             }
         }
 
@@ -272,7 +269,10 @@ where
                 let cycle = self.locate_commit_cycle(seg, packet, end_of_run)?;
                 Some((cycle, divergence))
             }
-            None => count_mismatch.map(|d| (end_of_run, d)),
+            // A deadlocked replay is short of transactions by construction:
+            // the deadlock, not the count, is the report.
+            None if deadlock.is_none() => count_mismatch.map(|d| (end_of_run, d)),
+            None => None,
         };
 
         // Earliest event wins; ties prefer the trace-level divergence,
@@ -308,13 +308,13 @@ where
         &self,
         seg: &Segment<'a>,
         target: usize,
-        hard_stop: u64,
+        end_of_run: u64,
     ) -> Result<u64, SnapError> {
         let mut s = (self.factory)();
         s.sim().restore(&seg.start.state)?;
         let ev = SessionCursor::new(&mut s).run_until(
             Stop::when(move |s: &mut S| s.shim().recorded_packet_count() > target)
-                .or_at_cycle(hard_stop + self.options.flush_margin)
+                .or_at_cycle(end_of_run)
                 .check_every(1),
         )?;
         Ok(ev.cycle)

@@ -31,7 +31,7 @@ fn record_compressed(app: AppId, seed: u64, codec: CodecId) -> (Vec<u8>, Trace) 
         .expect("record run completes");
     SessionCursor::new(&mut built)
         .flush()
-        .expect("flush margin");
+        .expect("store drains");
     let image = built
         .shim
         .recorded_stream_image()

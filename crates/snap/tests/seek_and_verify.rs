@@ -206,7 +206,6 @@ fn mutated_atop_trace_deadlock_detected_identically() {
     let factory = || build_echo_atop(AtopFilterMode::Buggy, replay_cfg.clone(), pings, 5);
     let options = VerifyOptions {
         final_budget: 10_000,
-        ..VerifyOptions::default()
     };
     let verifier = ParallelVerifier::new(factory, &log, &mutated).with_options(options);
     let serial = verifier.verify_serial().expect("serial verify");

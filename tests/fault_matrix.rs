@@ -467,7 +467,7 @@ fn killed_replay_resumes_from_last_durable_checkpoint() {
     );
     SessionCursor::new(&mut resumed)
         .flush()
-        .expect("flush margin");
+        .expect("store drains");
     assert_eq!(
         resumed.shim.recorded_trace().expect("validation trace"),
         unfaulted_trace,

@@ -63,7 +63,7 @@ fn long_recording_streams_to_disk_and_replays_without_loading() {
         .expect("streamed recording completes");
     SessionCursor::new(&mut built)
         .flush()
-        .expect("trace-flush margin"); // store drain
+        .expect("store drains");
     built
         .shim
         .finalize_recording()
