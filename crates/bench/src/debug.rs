@@ -10,9 +10,9 @@
 //!
 //! * `step [n]` — run forward `n` cycles ([`SessionCursor::step`]).
 //! * `rstep [n]` — *reverse*-step: restore the nearest checkpoint at or
-//!   before `cycle - n` and roll forward the remainder
-//!   ([`vidi_snap::replay_from`]), reporting the restore point and
-//!   roll-forward cost.
+//!   before `cycle - n` into the live session and roll forward the
+//!   remainder ([`vidi_snap::replay_from`]), reporting the restore point
+//!   and roll-forward cost.
 //! * `seek <cycle>` — jump anywhere in the execution, same mechanism.
 //! * `watch <signal> <cond>` — arm a cycle-accurate [`Watchpoint`] and run
 //!   until it fires, reporting the hit cycle, the value, and which
@@ -35,7 +35,7 @@ use vidi_chan::AtopFilterMode;
 use vidi_core::{SessionCursor, Stop, StopReason, VidiConfig, WatchCond, Watchpoint};
 use vidi_hwsim::SignalId;
 use vidi_snap::{
-    checkpointed_replay, replay_from, CheckpointLog, CheckpointPolicy, ParallelVerifier,
+    checkpointed_replay, replay_from, CheckpointLog, CheckpointPolicy, ParallelVerifier, SnapError,
     SnapSession, VerifyOptions, VerifyVerdict,
 };
 use vidi_trace::{Divergence, Trace};
@@ -295,11 +295,17 @@ impl Debugger {
         ))
     }
 
-    /// The reverse-travel core: fresh deterministic session, restore the
-    /// nearest checkpoint at or before `target`, roll forward the rest.
+    /// The reverse-travel core: restore the nearest checkpoint at or before
+    /// `target` into the live session and roll forward the rest. A restore
+    /// replaces all dynamic state, so the live session serves every seek;
+    /// only a failed restore, which may leave it half restored, rebuilds it.
     fn do_seek(&mut self, target: u64) -> Result<vidi_snap::SeekOutcome, String> {
-        self.session = self.target.build(&self.reference);
-        replay_from(&mut self.session, &self.log, target).map_err(|e| e.to_string())
+        replay_from(&mut self.session, &self.log, target).map_err(|e| {
+            if matches!(e, SnapError::State(_)) {
+                self.session = self.target.build(&self.reference);
+            }
+            e.to_string()
+        })
     }
 
     fn run(&mut self) -> Result<String, String> {

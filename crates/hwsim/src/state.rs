@@ -359,7 +359,16 @@ impl<'a> StateReader<'a> {
 /// simulation state. Not cryptographic — it detects divergence between
 /// deterministic replays, where any mismatch is a bug, not an adversary.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_update(FNV1A64_BASIS, bytes)
+}
+
+/// The FNV-1a-64 offset basis: the digest of no bytes.
+pub(crate) const FNV1A64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a digest `h` over more bytes, so a digest can stream
+/// over several slices: folding `a` then `b` from [`FNV1A64_BASIS`] equals
+/// [`fnv1a64`] of their concatenation.
+pub(crate) fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -32,11 +32,12 @@ impl Checkpoint {
     pub fn capture<S: SnapSession + ?Sized>(session: &mut S) -> Checkpoint {
         let txn_counts = session.shim().recorded_transaction_counts();
         let sim = session.sim();
+        let (state, digest) = sim.snapshot_with_digest();
         Checkpoint {
             cycle: sim.cycle(),
-            digest: sim.state_digest(),
+            digest,
             txn_counts,
-            state: sim.snapshot(),
+            state,
         }
     }
 }
@@ -108,10 +109,11 @@ pub struct SeekOutcome {
     pub rolled_forward: u64,
 }
 
-/// Seeks a freshly built session to `cycle`: restores the nearest
-/// checkpoint at or before it and rolls forward the remainder. The session
-/// must be built by the same deterministic construction (same app, same
-/// config) as the one that produced the log.
+/// Seeks a session to `cycle`: restores the nearest checkpoint at or
+/// before it and rolls forward the remainder. The session must be built by
+/// the same deterministic construction (same app, same config) as the one
+/// that produced the log; it may be fresh or already run, since a restore
+/// replaces all dynamic state.
 ///
 /// # Errors
 ///

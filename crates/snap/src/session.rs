@@ -8,8 +8,9 @@
 //! under the historical name. The `BuiltApp`/`EchoAtopBuilt` impls live next
 //! to those types in `vidi-apps`.
 //!
-//! Sessions are built fresh per thread by a verification factory — the
-//! simulator graph holds `Rc` handles and never crosses threads; only the
-//! factory closure, checkpoint byte blobs, and traces do.
+//! A verification factory builds one session per thread, which every
+//! segment on that thread restores into — the simulator graph holds `Rc`
+//! handles and never crosses threads; only the factory closure, checkpoint
+//! byte blobs, and traces do.
 
 pub use vidi_core::DriveSession as SnapSession;

@@ -44,7 +44,7 @@ pub use error::TraceError;
 pub use layout::{ChannelInfo, TraceLayout};
 pub use mutate::{reorder_end_before, EndEventRef, MutateError};
 pub use packet::{ChannelPacket, CyclePacket};
-pub use reader::{recover_trace, RecoveredTrace, TraceReader};
+pub use reader::{recover_trace, trace_from, RecoveredTrace, TraceReader};
 pub use stats::{ChannelStats, TraceStats};
 pub use store_format::{
     crc32, pack, recover_frames, storage_bytes, unpack, FrameRecovery, FrameWriter, StorageWord,
@@ -55,5 +55,5 @@ pub use stream::{
     TraceSource, DEFAULT_CHUNK_WORDS,
 };
 pub use trace::Trace;
-pub use validate::{compare, Divergence, DivergenceReport};
+pub use validate::{compare, Divergence, DivergenceReport, ReferenceIndex};
 pub use vidi_codec::{CodecError, CodecId, PacketSchema};

@@ -15,7 +15,7 @@ use vidi_hwsim::Bits;
 use crate::error::TraceError;
 use crate::layout::{ChannelInfo, TraceLayout};
 use crate::packet::CyclePacket;
-use crate::stream::{TraceSource, DEFAULT_CHUNK_WORDS};
+use crate::stream::{SourcePos, TraceSource, DEFAULT_CHUNK_WORDS};
 use crate::trace::Trace;
 
 /// Incremental reader over the serialized trace format.
@@ -246,6 +246,28 @@ pub fn recover_trace(framed: &[u8]) -> Result<RecoveredTrace, TraceError> {
         declared_packets: src.declared_packets(),
         first_corrupt_word: src.first_corrupt_word(),
     })
+}
+
+/// Decodes the packets of a framed trace stream from `mark` on — a
+/// [`SourcePos`] minted over this stream by [`TraceSink::position`] or
+/// [`TraceSource::position`] — as a trace over the stream's layout. The
+/// image is certified whole, but nothing before the mark is decoded.
+///
+/// [`TraceSink::position`]: crate::TraceSink::position
+///
+/// # Errors
+///
+/// Returns a [`TraceError`] if the header is unreadable, the mark does not
+/// fit this stream ([`TraceSource::seek`]), or a certified packet fails to
+/// decode.
+pub fn trace_from(framed: &[u8], mark: SourcePos) -> Result<Trace, TraceError> {
+    let mut src = TraceSource::open(framed, mark.chunk_words as usize)?;
+    src.seek(mark)?;
+    let mut trace = Trace::new(src.layout().clone(), src.records_output_content());
+    while let Some(packet) = src.next_packet()? {
+        trace.push(packet);
+    }
+    Ok(trace)
 }
 
 impl Iterator for TraceReader<'_> {

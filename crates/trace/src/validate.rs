@@ -16,6 +16,8 @@
 
 use vidi_hwsim::Bits;
 
+use crate::layout::TraceLayout;
+use crate::packet::CyclePacket;
 use crate::trace::Trace;
 
 /// One detected divergence between a reference trace and its replay.
@@ -125,39 +127,174 @@ fn all_output_contents(trace: &Trace) -> Vec<Vec<Bits>> {
         return out;
     }
     for packet in trace.packets() {
-        let pkts = packet.disassemble(layout, true);
-        for (idx, pkt) in pkts.into_iter().enumerate() {
-            if layout.channels()[idx].direction == vidi_chan::Direction::Output && pkt.end {
-                if let Some(c) = pkt.content {
-                    out[idx].push(c);
-                }
-            }
-        }
+        push_output_contents(&mut out, packet, layout);
     }
     out
 }
 
-/// The per-event end-event vector clocks of a trace: for the `k`-th end on
-/// channel `c`, the number of ends completed on every channel in strictly
-/// earlier cycle packets.
-fn end_vector_clocks(trace: &Trace) -> Vec<Vec<(usize, Vec<u64>)>> {
-    let n = trace.layout().len();
-    let mut counts = vec![0u64; n];
-    let mut per_channel: Vec<Vec<(usize, Vec<u64>)>> = vec![Vec::new(); n];
-    for packet in trace.packets() {
-        for (c, &ended) in packet.ends.iter().enumerate() {
-            if ended {
-                let idx = per_channel[c].len();
-                per_channel[c].push((idx, counts.clone()));
-            }
-        }
-        for (c, &ended) in packet.ends.iter().enumerate() {
-            if ended {
-                counts[c] += 1;
+/// Appends one packet's output-end contents to the per-channel lists.
+fn push_output_contents(out: &mut [Vec<Bits>], packet: &CyclePacket, layout: &TraceLayout) {
+    let pkts = packet.disassemble(layout, true);
+    for (idx, pkt) in pkts.into_iter().enumerate() {
+        if layout.channels()[idx].direction == vidi_chan::Direction::Output && pkt.end {
+            if let Some(c) = pkt.content {
+                out[idx].push(c);
             }
         }
     }
-    per_channel
+}
+
+/// A reference trace indexed once for repeated comparison: per-channel
+/// transaction counts, output contents, and end-event vector clocks.
+///
+/// Segmented verification compares many short validation windows against
+/// one reference; indexing the reference once makes each comparison cost
+/// O(window) instead of O(reference). [`compare`] is the special case of a
+/// window that starts at cycle 0.
+#[derive(Clone, Debug)]
+pub struct ReferenceIndex {
+    layout: TraceLayout,
+    records_output_content: bool,
+    /// Completed transactions per channel, layout order.
+    counts: Vec<u64>,
+    /// Output-end contents per channel (empty for inputs, or when output
+    /// contents were not recorded).
+    contents: Vec<Vec<Bits>>,
+    /// Per channel, the vector clock of every end event, flattened: the
+    /// `k`-th end's clock is `clocks[c][k * n..(k + 1) * n]` over the `n`
+    /// channels — the ends completed on every channel in strictly earlier
+    /// cycle packets.
+    clocks: Vec<Vec<u64>>,
+}
+
+impl ReferenceIndex {
+    /// Indexes `reference` in one pass (plus one disassembly pass when it
+    /// carries output contents).
+    pub fn new(reference: &Trace) -> Self {
+        let n = reference.layout().len();
+        let mut counts = vec![0u64; n];
+        let mut clocks: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for packet in reference.packets() {
+            for (c, &ended) in packet.ends.iter().enumerate() {
+                if ended {
+                    clocks[c].extend_from_slice(&counts);
+                }
+            }
+            for (c, &ended) in packet.ends.iter().enumerate() {
+                if ended {
+                    counts[c] += 1;
+                }
+            }
+        }
+        ReferenceIndex {
+            layout: reference.layout().clone(),
+            records_output_content: reference.records_output_content(),
+            counts,
+            contents: all_output_contents(reference),
+            clocks,
+        }
+    }
+
+    /// Compares a validation *window* — the packets a replay committed
+    /// after `start[c]` transactions had completed on every channel `c` —
+    /// against the reference, and reports exactly the divergences
+    /// [`compare`] reports for the whole validation trace whose transaction
+    /// index on its channel is at or above `start`, in the same order.
+    /// Window clocks count from `start`, so vector clocks are absolute.
+    ///
+    /// Count mismatches compare the reference totals with `start` plus the
+    /// window's ends; they are meaningful only once the replay has run to
+    /// its end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window was recorded over a different channel layout,
+    /// or `start` does not hold one count per channel.
+    pub fn compare_window(&self, start: &[u64], window: &Trace) -> DivergenceReport {
+        assert_eq!(
+            &self.layout,
+            window.layout(),
+            "traces have different channel layouts"
+        );
+        let n = self.layout.len();
+        assert_eq!(start.len(), n, "one start count per channel");
+        let channels = self.layout.channels();
+        let with_contents = self.records_output_content && window.records_output_content();
+
+        // One pass over the window: advance the validation clocks, check
+        // every end's clock (3) and every output content (2).
+        let mut v_counts = start.to_vec();
+        let mut v_contents: Vec<Vec<Bits>> = vec![Vec::new(); n];
+        let mut order: Vec<Vec<Divergence>> = vec![Vec::new(); n];
+        for packet in window.packets() {
+            for (c, &ended) in packet.ends.iter().enumerate() {
+                if !ended || v_counts[c] >= self.counts[c] {
+                    continue;
+                }
+                let i = v_counts[c] as usize;
+                let rclk = &self.clocks[c][i * n..(i + 1) * n];
+                if rclk != v_counts.as_slice() {
+                    order[c].push(Divergence::OrderMismatch {
+                        channel: channels[c].name.clone(),
+                        index: i,
+                        reference_clock: rclk.to_vec(),
+                        validation_clock: v_counts.clone(),
+                    });
+                }
+            }
+            for (c, &ended) in packet.ends.iter().enumerate() {
+                if ended {
+                    v_counts[c] += 1;
+                }
+            }
+            if with_contents {
+                push_output_contents(&mut v_contents, packet, &self.layout);
+            }
+        }
+
+        let mut report = DivergenceReport {
+            transactions_checked: self.counts.iter().sum(),
+            ..Default::default()
+        };
+
+        // 1. Per-channel transaction counts.
+        for (idx, ch) in channels.iter().enumerate() {
+            let (r, v) = (self.counts[idx], v_counts[idx]);
+            if r != v {
+                report.divergences.push(Divergence::CountMismatch {
+                    channel: ch.name.clone(),
+                    reference: r,
+                    validation: v,
+                });
+            }
+        }
+
+        // 2. Output transaction contents (when both traces carry them).
+        if with_contents {
+            for idx in self.layout.output_indices() {
+                let rc = &self.contents[idx];
+                let first = start[idx] as usize;
+                for (j, v) in v_contents[idx].iter().enumerate() {
+                    let i = first + j;
+                    let Some(r) = rc.get(i) else { break };
+                    if r != v {
+                        let context = rc[i.saturating_sub(CONTEXT_DEPTH)..i].to_vec();
+                        report.divergences.push(Divergence::ContentMismatch {
+                            channel: channels[idx].name.clone(),
+                            index: i,
+                            reference: r.clone(),
+                            validation: v.clone(),
+                            context,
+                        });
+                    }
+                }
+            }
+        }
+
+        // 3. Happens-before relationships of end events.
+        report.divergences.extend(order.into_iter().flatten());
+        report
+    }
 }
 
 /// Compares a reference trace against a validation trace and reports every
@@ -168,72 +305,8 @@ fn end_vector_clocks(trace: &Trace) -> Vec<Vec<(usize, Vec<u64>)>> {
 /// Panics if the traces were recorded over different channel layouts —
 /// comparing traces of different designs is a harness bug, not a divergence.
 pub fn compare(reference: &Trace, validation: &Trace) -> DivergenceReport {
-    assert_eq!(
-        reference.layout(),
-        validation.layout(),
-        "traces have different channel layouts"
-    );
-    let layout = reference.layout();
-    let mut report = DivergenceReport {
-        transactions_checked: reference.transaction_count(),
-        ..Default::default()
-    };
-
-    // 1. Per-channel transaction counts.
-    for (idx, ch) in layout.channels().iter().enumerate() {
-        let r = reference.channel_transaction_count(idx);
-        let v = validation.channel_transaction_count(idx);
-        if r != v {
-            report.divergences.push(Divergence::CountMismatch {
-                channel: ch.name.clone(),
-                reference: r,
-                validation: v,
-            });
-        }
-    }
-
-    // 2. Output transaction contents (when both traces carry them). One
-    //    disassembly pass per trace collects every channel's contents.
-    if reference.records_output_content() && validation.records_output_content() {
-        let ref_contents = all_output_contents(reference);
-        let val_contents = all_output_contents(validation);
-        for idx in layout.output_indices() {
-            let name = &layout.channels()[idx].name;
-            let rc = &ref_contents[idx];
-            let vc = &val_contents[idx];
-            for (i, (r, v)) in rc.iter().zip(vc.iter()).enumerate() {
-                if r != v {
-                    let context = rc[i.saturating_sub(CONTEXT_DEPTH)..i].to_vec();
-                    report.divergences.push(Divergence::ContentMismatch {
-                        channel: name.clone(),
-                        index: i,
-                        reference: r.clone(),
-                        validation: v.clone(),
-                        context,
-                    });
-                }
-            }
-        }
-    }
-
-    // 3. Happens-before relationships of end events.
-    let r_clocks = end_vector_clocks(reference);
-    let v_clocks = end_vector_clocks(validation);
-    for (c, (rs, vs)) in r_clocks.iter().zip(v_clocks.iter()).enumerate() {
-        let name = &layout.channels()[c].name;
-        for ((i, rclk), (_, vclk)) in rs.iter().zip(vs.iter()) {
-            if rclk != vclk {
-                report.divergences.push(Divergence::OrderMismatch {
-                    channel: name.clone(),
-                    index: *i,
-                    reference_clock: rclk.clone(),
-                    validation_clock: vclk.clone(),
-                });
-            }
-        }
-    }
-
-    report
+    let start = vec![0; reference.layout().len()];
+    ReferenceIndex::new(reference).compare_window(&start, validation)
 }
 
 #[cfg(test)]
@@ -338,6 +411,57 @@ mod tests {
             .divergences
             .iter()
             .any(|d| matches!(d, Divergence::OrderMismatch { .. })));
+    }
+
+    /// Every window of a validation trace reports exactly the full
+    /// comparison's divergences at or past the window's start counts.
+    #[test]
+    fn windows_report_the_divergences_they_own() {
+        let reference = build(&[
+            (Some(1), None),
+            (None, Some(2)),
+            (Some(3), Some(4)),
+            (None, Some(5)),
+            (Some(6), None),
+        ]);
+        let validation = build(&[
+            (None, Some(2)),
+            (Some(1), None),
+            (Some(3), Some(9)),
+            (Some(6), Some(5)),
+            (None, Some(7)),
+        ]);
+        let full = compare(&reference, &validation);
+        assert!(full.content_divergences() > 0);
+        let n = validation.layout().len();
+        for split in 0..=validation.packets().len() {
+            let mut start = vec![0u64; n];
+            for p in &validation.packets()[..split] {
+                for (c, &ended) in p.ends.iter().enumerate() {
+                    start[c] += u64::from(ended);
+                }
+            }
+            let mut window = Trace::new(validation.layout().clone(), true);
+            for p in &validation.packets()[split..] {
+                window.push(p.clone());
+            }
+            let owned: Vec<Divergence> = full
+                .divergences
+                .iter()
+                .filter(|d| match d {
+                    Divergence::CountMismatch { .. } => true,
+                    Divergence::ContentMismatch { channel, index, .. }
+                    | Divergence::OrderMismatch { channel, index, .. } => {
+                        let c = validation.layout().index_of(channel).expect("channel");
+                        *index as u64 >= start[c]
+                    }
+                })
+                .cloned()
+                .collect();
+            let windowed = ReferenceIndex::new(&reference).compare_window(&start, &window);
+            assert_eq!(windowed.divergences, owned, "window from packet {split}");
+            assert_eq!(windowed.transactions_checked, full.transactions_checked);
+        }
     }
 
     #[test]
