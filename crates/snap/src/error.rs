@@ -2,6 +2,7 @@
 
 use vidi_host::StorageFault;
 use vidi_hwsim::{SimError, StateError};
+use vidi_trace::TraceError;
 
 /// Everything that can go wrong while checkpointing, seeking, or verifying.
 #[derive(Debug)]
@@ -23,6 +24,8 @@ pub enum SnapError {
     /// The session under checkpoint or verification is not in a replay
     /// mode, or records no validation trace.
     NotReplaying,
+    /// The validation trace a segment recorded failed to decode.
+    Trace(TraceError),
 }
 
 impl std::fmt::Display for SnapError {
@@ -38,6 +41,7 @@ impl std::fmt::Display for SnapError {
             SnapError::NotReplaying => {
                 write!(f, "session is not replaying with a validation trace")
             }
+            SnapError::Trace(e) => write!(f, "validation trace error: {e}"),
         }
     }
 }
@@ -53,6 +57,12 @@ impl From<StateError> for SnapError {
 impl From<StorageFault> for SnapError {
     fn from(e: StorageFault) -> Self {
         SnapError::Storage(e)
+    }
+}
+
+impl From<TraceError> for SnapError {
+    fn from(e: TraceError) -> Self {
+        SnapError::Trace(e)
     }
 }
 

@@ -172,7 +172,9 @@ fn polling_divergence_first_cycle_is_identical_serial_and_parallel() {
 /// must report the deadlock — identically on the serial and parallel
 /// paths — from a checkpoint log that itself never completed. Its stall
 /// report, rendered on query from engine state, must name both blocked
-/// write channels with their queue lengths and vector-clock heads.
+/// write channels with their queue lengths and vector-clock heads — at a
+/// coarse cadence and at the debugger's 256-cycle one
+/// (`DebugOptions::default()`).
 #[test]
 fn mutated_atop_trace_deadlock_detected_identically() {
     use vidi_apps::build_echo_atop;
@@ -198,44 +200,50 @@ fn mutated_atop_trace_deadlock_detected_identically() {
     .expect("mutation applies");
 
     let replay_cfg = VidiConfig::replay_record(mutated.clone());
-    let mut session = build_echo_atop(AtopFilterMode::Buggy, replay_cfg.clone(), pings, 5);
-    let log = checkpointed_replay(&mut session, CheckpointPolicy::every(5000), 30_000)
-        .expect("checkpointed replay");
-    assert!(!log.completed, "the mutated ordering must stall the replay");
+    // (checkpoint cadence, record budget, final-segment budget)
+    for (every, budget, final_budget) in [(5000, 30_000, 10_000), (256, 20_000, 5_000)] {
+        let mut session = build_echo_atop(AtopFilterMode::Buggy, replay_cfg.clone(), pings, 5);
+        let log = checkpointed_replay(&mut session, CheckpointPolicy::every(every), budget)
+            .expect("checkpointed replay");
+        assert!(
+            !log.completed,
+            "every {every}: the mutated ordering must stall the replay"
+        );
 
-    let factory = || build_echo_atop(AtopFilterMode::Buggy, replay_cfg.clone(), pings, 5);
-    let options = VerifyOptions {
-        final_budget: 10_000,
-    };
-    let verifier = ParallelVerifier::new(factory, &log, &mutated).with_options(options);
-    let serial = verifier.verify_serial().expect("serial verify");
-    let parallel = verifier.verify_parallel(4).expect("parallel verify");
-    assert_eq!(
-        serial, parallel,
-        "parallel must reproduce the serial report"
-    );
-    assert!(!serial.is_clean());
-    match &serial.verdict {
-        VerifyVerdict::Deadlock { cycle, stalled } => {
-            assert!(*cycle > 0);
-            for chan in ["env.pcim.aw", "env.pcim.w"] {
-                let line = stalled
-                    .iter()
-                    .find(|l| l.contains(&format!("channel {chan} blocked")))
-                    .unwrap_or_else(|| panic!("stall report names {chan}: {stalled:#?}"));
-                assert!(line.contains(" queued): "), "queue length: {line}");
-                assert!(
-                    line.contains("texp=") && line.contains("tcur="),
-                    "head: {line}"
-                );
+        let factory = || build_echo_atop(AtopFilterMode::Buggy, replay_cfg.clone(), pings, 5);
+        let options = VerifyOptions { final_budget };
+        let verifier = ParallelVerifier::new(factory, &log, &mutated).with_options(options);
+        let serial = verifier.verify_serial().expect("serial verify");
+        let parallel = verifier.verify_parallel(4).expect("parallel verify");
+        assert_eq!(
+            serial, parallel,
+            "every {every}: parallel must reproduce the serial report"
+        );
+        assert!(!serial.is_clean());
+        match &serial.verdict {
+            VerifyVerdict::Deadlock { cycle, stalled } => {
+                assert!(*cycle > 0);
+                for chan in ["env.pcim.aw", "env.pcim.w"] {
+                    let line = stalled
+                        .iter()
+                        .find(|l| l.contains(&format!("channel {chan} blocked")))
+                        .unwrap_or_else(|| {
+                            panic!("every {every}: stall report names {chan}: {stalled:#?}")
+                        });
+                    assert!(line.contains(" queued): "), "queue length: {line}");
+                    assert!(
+                        line.contains("texp=") && line.contains("tcur="),
+                        "head: {line}"
+                    );
+                }
             }
+            other => panic!("every {every}: expected a deadlock verdict, got {other:?}"),
         }
-        other => panic!("expected a deadlock verdict, got {other:?}"),
+        assert_eq!(
+            serial.first_divergent_cycle(),
+            parallel.first_divergent_cycle()
+        );
     }
-    assert_eq!(
-        serial.first_divergent_cycle(),
-        parallel.first_divergent_cycle()
-    );
 
     // The unmutated trace replays clean through the very same machinery.
     let clean_cfg = VidiConfig::replay_record(trace.clone());
